@@ -1,18 +1,21 @@
 // E18: FARGO_PARALLEL locality-engine scaling.
 //
-// Wall-clock only — the whole point of the locality engine is host-CPU
-// parallelism, which is exactly the thing the deterministic gate must not
-// measure. Every metric here is Info() (never gated); the acceptance shape
-// (>= 2x from 1 to 4 localities on the engine workload) is printed for the
-// CI artifact, not enforced. bench/baselines/BENCH_parallel.json keeps an
-// empty gated set so benchgate treats the file as a schema anchor only.
+// The wall-clock sections measure host-CPU parallelism, which is exactly
+// the thing the deterministic gate must not measure: they are Info()
+// (never gated), and the acceptance shape (>= 2x from 1 to 4 localities on
+// the engine workload) is printed for the CI artifact, not enforced.
 //
-// Two layers:
+// Three layers:
 //   engine.*   ParallelScheduler alone: CPU-bound tasks fanned across 8
 //              affinity keys, conservative rounds, no runtime on top.
 //   invoke.*   the full runtime: cross-core invocations executed at each
 //              owner Core's home locality (request work parallelises;
 //              the conductor's pump and the network mutex do not).
+//   churn.*    gated: barrier rounds and cross-locality handoffs of the
+//              invocation workload, issued in one burst and open loop
+//              (spread over virtual time). Both are pure functions of the
+//              workload and N, so a regression to per-timestamp stepping
+//              or to an extra quiet round per timestamp fails benchgate.
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -32,6 +35,7 @@ constexpr int kEngineTasks = 256;  // per engine run
 constexpr int kSpinIters = 60000;  // ~100us of splitmix64 per task
 constexpr int kInvokesPerCore = 150;
 constexpr std::size_t kResizeBytes = 262144;
+constexpr SimTime kOpenLoopGap = Micros(50);  // open-loop issue spacing
 
 /// Seed-deterministic CPU burn; the sink defeats dead-code elimination.
 std::uint64_t Spin(std::uint64_t seed) {
@@ -66,9 +70,18 @@ double EngineRunMs(int localities) {
   return std::chrono::duration<double, std::milli>(dt).count();
 }
 
+/// Engine churn of one invocation run (`locality.*` registry deltas).
+struct InvokeRun {
+  double ms = 0;  ///< host wall-clock of the issue+pump region
+  std::uint64_t rounds = 0;
+  std::uint64_t handoffs = 0;
+};
+
 /// Cross-core invocations: Data lives on core i, the caller refs it from
 /// core (i+1)%8, so every "resize" executes at the owner's home locality.
-double InvokeRunMs(int localities, bool print_telemetry = false) {
+/// `open_loop` issues call k at k * kOpenLoopGap of virtual time, on its
+/// caller's locality, instead of all at once from the conductor.
+InvokeRun RunInvokes(int localities, bool open_loop) {
   core::Runtime rt(core::RuntimeOptions{localities});
   testing::RegisterTestComlets();
   std::vector<core::Core*> cores;
@@ -83,39 +96,42 @@ double InvokeRunMs(int localities, bool print_telemetry = false) {
                          ->RefTo<Data>(owned[static_cast<std::size_t>(i)]
                                            .handle()));
   rt.RunUntilIdle();  // settle tracker setup outside the timed region
+  const monitor::Registry& reg = rt.metrics();
+  rt.SyncSerialStats();
+  const std::uint64_t rounds0 = reg.CounterValue("locality.rounds");
+  const std::uint64_t handoffs0 = reg.CounterValue("locality.handoffs");
 
-  std::vector<sim::Future<Value>> futures;
-  futures.reserve(static_cast<std::size_t>(kAffinities * kInvokesPerCore));
+  constexpr int kCalls = kAffinities * kInvokesPerCore;
+  std::vector<sim::Future<Value>> futures(static_cast<std::size_t>(kCalls));
   // fargolint: allow(wallclock) host-clock Info() metric, never gated
   const auto t0 = std::chrono::steady_clock::now();
-  for (int round = 0; round < kInvokesPerCore; ++round)
-    for (auto& ref : remote)
-      futures.push_back(ref.InvokeAsync(
-          "resize", static_cast<std::int64_t>(kResizeBytes)));
+  for (int k = 0; k < kCalls; ++k) {
+    const std::size_t i = static_cast<std::size_t>(k % kAffinities);
+    sim::Future<Value>* slot = &futures[static_cast<std::size_t>(k)];
+    if (!open_loop) {
+      *slot = remote[i].InvokeAsync("resize",
+                                    static_cast<std::int64_t>(kResizeBytes));
+      continue;
+    }
+    // Each task writes only its own slot, read after the pump.
+    sim::Scheduler::AffinityScope scope(
+        cores[(i + 1) % kAffinities]->id().value);
+    rt.scheduler().ScheduleAfter(kOpenLoopGap * k, [slot, ref = remote[i]] {
+      *slot = ref.InvokeAsync("resize",
+                              static_cast<std::int64_t>(kResizeBytes));
+    });
+  }
   rt.RunUntilIdle();
   // fargolint: allow(wallclock) host-clock Info() metric, never gated
   const auto dt = std::chrono::steady_clock::now() - t0;
   for (auto& f : futures)
     if (!f.ok()) std::abort();  // a failed invoke = bogus numbers
-  if (print_telemetry && localities > 0) {
-    rt.SyncSerialStats();
-    const monitor::Registry& reg = rt.metrics();
-    std::printf("telemetry (N=%d): handoffs=%llu overflows=%llu rounds=%llu "
-                "steals=%llu max_queue_depth=%llu\n",
-                localities,
-                static_cast<unsigned long long>(
-                    reg.CounterValue("locality.handoffs")),
-                static_cast<unsigned long long>(
-                    reg.CounterValue("locality.handoff_overflows")),
-                static_cast<unsigned long long>(
-                    reg.CounterValue("locality.rounds")),
-                static_cast<unsigned long long>(
-                    reg.CounterValue("locality.steals")),
-                static_cast<unsigned long long>(
-                    static_cast<std::uint64_t>(
-                        reg.GaugeValue("locality.queue_depth"))));
-  }
-  return std::chrono::duration<double, std::milli>(dt).count();
+  rt.SyncSerialStats();
+  InvokeRun run;
+  run.ms = std::chrono::duration<double, std::milli>(dt).count();
+  run.rounds = reg.CounterValue("locality.rounds") - rounds0;
+  run.handoffs = reg.CounterValue("locality.handoffs") - handoffs0;
+  return run;
 }
 
 }  // namespace
@@ -126,9 +142,25 @@ int main() {
   // fargolint: allow(thread) reads the host cpu count for the report; spawns nothing
   const unsigned hw = std::thread::hardware_concurrency();
   std::printf("host cpus: %u (wall-clock speedups are bounded by this)\n", hw);
+
+  std::printf("\n-- churn: %d invocations over %d cores (gated) --\n",
+              kAffinities * kInvokesPerCore, kAffinities);
+  TableHeader({"workload", "localities", "rounds", "handoffs"});
+  for (const bool open_loop : {false, true}) {
+    const std::string name = open_loop ? "open_loop" : "burst";
+    for (const int n : {2, 4}) {
+      const InvokeRun run = RunInvokes(n, open_loop);
+      const std::string key = "churn." + name + ".n" + std::to_string(n);
+      report.Gate(key + ".rounds", run.rounds);
+      report.Gate(key + ".handoffs", run.handoffs);
+      Row("| %8s | %10d | %6llu | %8llu |", name.c_str(), n,
+          static_cast<unsigned long long>(run.rounds),
+          static_cast<unsigned long long>(run.handoffs));
+    }
+  }
   if (DeterministicMode()) {
-    // Wall-clock is the subject here; in CI's deterministic sweep the
-    // bench only proves it still builds and writes its (gate-empty) file.
+    // Wall-clock is not reproducible; CI's deterministic sweep keeps only
+    // the gated churn section.
     std::printf("deterministic mode: wall-clock sections skipped\n");
     report.Write();
     return 0;
@@ -155,7 +187,7 @@ int main() {
   TableHeader({"localities", "wall ms", "speedup vs sim"});
   double invoke_sim_ms = 0;
   for (int n : {0, 1, 2, 4}) {
-    const double ms = InvokeRunMs(n, /*print_telemetry=*/n == 4);
+    const double ms = RunInvokes(n, /*open_loop=*/false).ms;
     if (n == 0) invoke_sim_ms = ms;
     const std::string key = n == 0 ? "sim" : std::to_string(n);
     report.Info("invoke.ms_" + key, ms);

@@ -13,7 +13,13 @@
 namespace fargo::core {
 
 DirectoryMode Directory::mode() const {
+  if (&shard_map() == &adopted_) return DirectoryMode::kSharded;
   return core_.runtime().directory_mode();
+}
+
+const ShardMap& Directory::shard_map() const {
+  const ShardMap& global = core_.runtime().shard_map();
+  return adopted_.version > global.version ? adopted_ : global;
 }
 
 CoreId Directory::OwnerOf(ComletId id) const {
@@ -25,7 +31,7 @@ CoreId Directory::OwnerOf(ComletId id) const {
       // its origin Core — exactly the legacy home registry (§7).
       return id.origin;
     case DirectoryMode::kSharded: {
-      const ShardMap& map = core_.runtime().shard_map();
+      const ShardMap& map = shard_map();
       return map.valid() ? map.OwnerOf(id) : CoreId{};
     }
   }
@@ -111,13 +117,15 @@ void Directory::HandleLookup(const net::Message& msg) {
 void Directory::HandleMap(const net::Message& msg) {
   serial::Reader r(msg.payload);
   ShardMap map = ReadShardMap(r);
-  if (core_.runtime().AdoptShardMap(map))
-    LogInfo() << "core " << core_.name() << " adopted shard map v"
-              << map.version << " (" << map.shard_count() << " shards)";
+  if (!map.valid() || map.version <= shard_map().version) return;
+  adopted_ = std::move(map);
+  LogInfo() << "core " << core_.name() << " adopted shard map v"
+            << adopted_.version << " (" << adopted_.shard_count()
+            << " shards)";
 }
 
 void Directory::BroadcastMap() {
-  const ShardMap& map = core_.runtime().shard_map();
+  const ShardMap& map = shard_map();
   if (!map.valid()) return;
   for (Core* peer : core_.runtime().Cores()) {
     if (peer == &core_ || !peer->alive()) continue;

@@ -22,6 +22,7 @@
 
 #include "src/common/ids.h"
 #include "src/common/time.h"
+#include "src/core/shard_map.h"
 #include "src/core/wire.h"
 #include "src/net/network.h"
 #include "src/sim/future.h"
@@ -44,8 +45,16 @@ class Directory {
  public:
   explicit Directory(Core& core) : core_(core) {}
 
+  /// The Runtime's mode, except that a shard map adopted off the wire
+  /// (newer than the Runtime's) switches this Core to sharded routing.
   DirectoryMode mode() const;
   bool enabled() const { return mode() != DirectoryMode::kDisabled; }
+
+  /// The shard map this Core routes by: the higher version of the one it
+  /// adopted off the wire and the Runtime's (which only the conductor
+  /// writes — EnableDirectory, the shell). Per-Core, so adoption on a
+  /// locality worker never writes state another Core reads.
+  const ShardMap& shard_map() const;
 
   /// Core owning `id`'s home shard; invalid when the plane is disabled.
   CoreId OwnerOf(ComletId id) const;
@@ -67,8 +76,8 @@ class Directory {
   void HandleLookup(const net::Message& msg);
   void HandleMap(const net::Message& msg);
 
-  /// Sends the Runtime's current shard map to every other Core as a
-  /// kDirectoryMap payload (higher-version-wins adoption on receipt).
+  /// Sends this Core's shard map to every other Core as a kDirectoryMap
+  /// payload (higher-version-wins adoption on receipt).
   void BroadcastMap();
 
   /// WAL replay entry point: reapplies a logged publish without re-logging
@@ -96,6 +105,7 @@ class Directory {
 
   Core& core_;
   std::map<ComletId, DirEntry> store_;
+  ShardMap adopted_;  ///< last map adopted via kDirectoryMap (HandleMap)
 };
 
 }  // namespace fargo::core

@@ -9,8 +9,8 @@ namespace fargo::core {
 
 FailureDetector::FailureDetector(Core& core, SimTime interval, int k_missed)
     : core_(core), interval_(interval), k_missed_(k_missed) {
-  task_ = std::make_unique<sim::PeriodicTask>(core_.scheduler(), interval_,
-                                              [this] { Tick(); });
+  task_ = std::make_unique<sim::PeriodicTask>(
+      core_.scheduler(), core_.id().value, interval_, [this] { Tick(); });
 }
 
 FailureDetector::~FailureDetector() { Stop(); }

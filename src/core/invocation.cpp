@@ -560,8 +560,7 @@ void InvocationUnit::RouteRequest(wire::InvokeRequest rq, net::Message msg,
   // strictly fresher than the stamp that already routed the request here.
   // Otherwise the chain could be walked end to end; one shard lookup
   // replaces that walk, so steady-state delivery is at most two hops.
-  if (core_.runtime().directory_mode() == DirectoryMode::kSharded &&
-      allow_lookup) {
+  if (core_.directory().mode() == DirectoryMode::kSharded && allow_lookup) {
     if (entry.hint_epoch > rq.hint_epoch) {
       core_.inst_.dir_hint_hit->Inc();
     } else {

@@ -60,6 +60,11 @@ Runtime::Runtime(const RuntimeOptions& options)
   const serial::BufferStats at_boot = serial::GetBufferStats();
   synced_allocations_ = at_boot.allocations;
   synced_regrow_bytes_ = at_boot.bytes_copied;
+  // Every cross-locality task is a network delivery, due at least the
+  // minimum inter-Core link latency after its sender's clock: that is the
+  // locality engine's lookahead window.
+  if (auto* p = dynamic_cast<sim::ParallelScheduler*>(scheduler_.get()))
+    p->SetLookahead([&net = network_] { return net.min_latency(); });
   // Max-gauge of scheduler pump nesting: the async invocation pipeline keeps
   // this at 1; anything deeper means a blocking wait re-entered the pump.
   scheduler_->SetPumpObserver(
@@ -155,7 +160,6 @@ void Runtime::SyncSerialStats() {
     metrics_.counter("locality.handoff_overflows")
         .Inc(t.overflows - synced_overflows_);
     metrics_.counter("locality.rounds").Inc(t.rounds - synced_rounds_);
-    metrics_.counter("locality.steals").Inc(t.steals);  // strict affinity: 0
     auto& depth = metrics_.gauge("locality.queue_depth");
     if (t.max_queue_depth > depth.value()) depth.Set(t.max_queue_depth);
     synced_handoffs_ = t.handoffs;

@@ -103,8 +103,9 @@ class Runtime {
   void EnableDirectory(std::vector<CoreId> owners, std::uint32_t vnodes = 16);
   DirectoryMode directory_mode() const { return directory_mode_; }
   const ShardMap& shard_map() const { return shard_map_; }
-  /// Higher-version-wins map adoption (kDirectoryMap receive path).
-  /// Returns true when `map` replaced the installed one.
+  /// Higher-version-wins adoption into the deployment-wide map
+  /// (conductor-side; a Core adopts a kDirectoryMap payload into its own
+  /// Directory instead). Returns true when `map` replaced the installed one.
   bool AdoptShardMap(const ShardMap& map);
 
   /// Convenience pumps for drivers/tests.

@@ -32,7 +32,8 @@ void Profiler::Start(const ProbeKey& key, SimTime interval) {
   auto [slot, inserted] = continuous_.emplace(key, std::move(c));
   (void)inserted;
   slot->second.task = std::make_unique<sim::PeriodicTask>(
-      core_.scheduler(), interval, [this, key] { TakeSample(key); });
+      core_.scheduler(), core_.id().value, interval,
+      [this, key] { TakeSample(key); });
 }
 
 double Profiler::Get(const ProbeKey& key) const {

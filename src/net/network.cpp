@@ -69,11 +69,21 @@ void Network::SetLink(CoreId a, CoreId b, LinkModel model) {
   std::lock_guard<std::mutex> lk(mu_);
   links_[Key(a, b)] = model;
   links_[Key(b, a)] = model;
+  UpdateMinLatencyLocked();
 }
 
 void Network::SetLinkOneWay(CoreId from, CoreId to, LinkModel model) {
   std::lock_guard<std::mutex> lk(mu_);
   links_[Key(from, to)] = model;
+  UpdateMinLatencyLocked();
+}
+
+void Network::UpdateMinLatencyLocked() {
+  min_latency_ = default_link_.latency;
+  // fargolint: order-insensitive(a minimum)
+  for (const auto& [key, model] : links_)
+    if ((key >> 32) != (key & 0xffffffffu))
+      min_latency_ = std::min(min_latency_, model.latency);
 }
 
 LinkModel Network::GetLinkLocked(CoreId from, CoreId to) const {
@@ -178,7 +188,9 @@ void Network::SetFaultPlan(const FaultPlan& plan) {
   }
   for (const FaultPlan::LinkFlap& flap : plan.flaps) {
     // Flaps only touch lock-guarded link state, so any locality may run
-    // them; ScheduleAt keeps them on the caller's (or default) locality.
+    // them; ScheduleAt keeps them on the caller's (or default) locality,
+    // and from the conductor makes them lookahead barriers (every Send
+    // reads the link's state).
     // fargolint: allow(capture-this) Runtime clears the queue before the Network dies
     sched_.ScheduleAt(flap.down_at, [this, flap] {
       SetPartitioned(flap.a, flap.b, true);
@@ -193,30 +205,37 @@ void Network::SetFaultPlan(const FaultPlan& plan) {
   for (const FaultPlan::CoreCrash& crash : plan.crashes) {
     // Crash/restart handlers tear into the Core itself, so they must run
     // on the Core's home locality.
-    // fargolint: allow(capture-this) Runtime clears the queue before the Network dies
-    sched_.Post(crash.core.value, crash.at, [this, core = crash.core] {
-      std::function<void(CoreId)> handler;
-      {
-        std::lock_guard<std::mutex> lk(mu_);
-        handler = crash_handler_;
-      }
-      if (handler) {
-        handler(core);
-      } else {
-        Unregister(core);
-      }
-    });
+    // They also flip state other Cores read (liveness, handler
+    // registration), so they are lookahead barriers.
+    sched_.Post(
+        crash.core.value, crash.at,
+        // fargolint: allow(capture-this) Runtime clears the queue before the Network dies
+        [this, core = crash.core] {
+          std::function<void(CoreId)> handler;
+          {
+            std::lock_guard<std::mutex> lk(mu_);
+            handler = crash_handler_;
+          }
+          if (handler) {
+            handler(core);
+          } else {
+            Unregister(core);
+          }
+        },
+        /*barrier=*/true);
     if (crash.restart_after > 0) {
-      sched_.Post(crash.core.value, crash.at + crash.restart_after,
-                  // fargolint: allow(capture-this) Runtime clears the queue before the Network dies
-                  [this, core = crash.core] {
-                    std::function<void(CoreId)> handler;
-                    {
-                      std::lock_guard<std::mutex> lk(mu_);
-                      handler = restart_handler_;
-                    }
-                    if (handler) handler(core);
-                  });
+      sched_.Post(
+          crash.core.value, crash.at + crash.restart_after,
+          // fargolint: allow(capture-this) Runtime clears the queue before the Network dies
+          [this, core = crash.core] {
+            std::function<void(CoreId)> handler;
+            {
+              std::lock_guard<std::mutex> lk(mu_);
+              handler = restart_handler_;
+            }
+            if (handler) handler(core);
+          },
+          /*barrier=*/true);
     }
   }
 }

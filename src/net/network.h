@@ -127,6 +127,15 @@ class Network {
   void SetDefaultLink(LinkModel model) {
     std::lock_guard<std::mutex> lk(mu_);
     default_link_ = model;
+    UpdateMinLatencyLocked();
+  }
+  /// Smallest propagation latency of any inter-Core link, explicit or
+  /// default (loopback is excluded: it never leaves the Core). No message
+  /// between two Cores arrives sooner than this after it was sent, which
+  /// makes it the parallel engine's lookahead.
+  SimTime min_latency() const {
+    std::lock_guard<std::mutex> lk(mu_);
+    return min_latency_;
   }
   /// Effective model for the directed pair.
   LinkModel GetLink(CoreId from, CoreId to) const;
@@ -250,6 +259,7 @@ class Network {
   /// Callers hold mu_.
   void CountDrop(const Message& msg, DropReason reason);
   LinkModel GetLinkLocked(CoreId from, CoreId to) const;
+  void UpdateMinLatencyLocked();
 
   sim::Scheduler& sched_;
   /// Guards every mutable field below (FARGO_PARALLEL: Send and Deliver
@@ -260,6 +270,7 @@ class Network {
   std::unordered_map<PairKey, LinkModel> links_;
   std::unordered_map<PairKey, LinkStats> stats_;
   LinkModel default_link_;
+  SimTime min_latency_ = LinkModel{}.latency;
   LinkStats total_;
   std::uint64_t dropped_by_[kDropReasonCount] = {0, 0, 0};
   std::size_t header_bytes_ = 64;

@@ -253,8 +253,10 @@ void Engine::AttachRule(const Rule& rule_in) {
   Env env;
 
   if (rule->is_periodic) {
+    // The body acts through the admin Core: tick on its home locality.
     attached.timer = std::make_unique<sim::PeriodicTask>(
-        runtime_.scheduler(), rule->interval, [this, rule, alive = alive_] {
+        runtime_.scheduler(), admin_.id().value, rule->interval,
+        [this, rule, alive = alive_] {
           if (!*alive) return;
           ExecuteBody(*rule, Env{});
         });

@@ -41,6 +41,7 @@ class HandoffQueue {
     std::uint64_t seq = 0;
     std::uint64_t id = 0;  ///< TaskId, for cancellation
     std::function<void()> fn;
+    bool barrier = false;  ///< lookahead window barrier (parallel_sched.h)
   };
 
   explicit HandoffQueue(std::size_t capacity) : slots_(capacity) {}

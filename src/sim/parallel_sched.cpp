@@ -5,6 +5,8 @@
 #include <limits>
 #include <mutex>
 #include <queue>
+#include <set>
+#include <string>
 #include <thread>
 #include <unordered_set>
 #include <vector>
@@ -17,7 +19,6 @@ namespace fargo::sim {
 namespace {
 
 constexpr std::uint32_t kConductorRank = 0xFFFFFFFFu;
-constexpr SimTime kNoDue = std::numeric_limits<SimTime>::max();
 
 // TaskId layout: [8b destination locality | 8b producer tag | 48b counter].
 // The destination routes Cancel; the producer tag + per-producer counter
@@ -34,7 +35,10 @@ struct WorkerCtx {
   ParallelScheduler* sched = nullptr;
   int loc = -1;
   std::uint64_t round = 0;
-  bool* pushed = nullptr;
+  SimTime lo = 0;  ///< the round's window
+  SimTime hi = 0;
+  SimTime now = 0;          ///< time of the task being executed
+  bool in_barrier = false;  ///< executing a barrier task
 };
 thread_local WorkerCtx tl_ctx;
 
@@ -45,7 +49,8 @@ struct ParallelScheduler::Barrier {
   std::condition_variable cv_go;
   std::condition_variable cv_done;
   std::uint64_t go_round = 0;  ///< bumped by the conductor to release a round
-  SimTime limit = 0;           ///< the round's execution horizon
+  SimTime lo = 0;              ///< the round's window [lo, hi]
+  SimTime hi = 0;
   int arrived = 0;             ///< workers parked since the last release
   bool stop = false;
 };
@@ -55,6 +60,7 @@ struct ParallelScheduler::Locality {
     SimTime at;
     std::uint64_t prio;  // local insertion order: same-time FIFO tiebreak
     TaskId id;
+    bool barrier;
     std::function<void()> fn;
   };
   struct Later {
@@ -68,9 +74,21 @@ struct ParallelScheduler::Locality {
 
   HandoffQueue& inbox(unsigned parity) { return parity ? inbox1 : inbox0; }
 
+  void Push(SimTime at, TaskId id, bool barrier, std::function<void()> fn) {
+    if (barrier) barriers.insert(at);
+    queue.push(Entry{at, prio_seq++, id, barrier, std::move(fn)});
+  }
+  Entry Pop() {
+    Entry e = std::move(const_cast<Entry&>(queue.top()));
+    queue.pop();
+    if (e.barrier) barriers.erase(barriers.find(e.at));
+    return e;
+  }
+
   // -- worker-confined (the conductor touches these only while every
   // -- worker is parked; the barrier mutex is the happens-before edge) ----
   std::priority_queue<Entry, std::vector<Entry>, Later> queue;
+  std::multiset<SimTime> barriers;  ///< due times of queued barrier tasks
   std::unordered_set<TaskId> cancelled;
   std::uint64_t prio_seq = 0;   ///< queue insertion order
   std::uint64_t merge_seq = 0;  ///< producer stamp on outgoing handoffs
@@ -89,9 +107,13 @@ struct ParallelScheduler::Locality {
   std::vector<TaskId> staged_cancels;
 
   // Round results, published at park under the barrier mutex.
-  SimTime next_due = kNoDue;
+  SimTime next_due = kNoDue;      ///< head of the queue
+  SimTime next_barrier = kNoDue;  ///< earliest queued barrier task
+  SimTime sent_due = kNoDue;      ///< earliest task handed off this round
+  SimTime sent_barrier = kNoDue;  ///< earliest barrier handed off
+  SimTime last_run = 0;           ///< time of the latest executed task
   std::uint64_t executed = 0;
-  bool did_work = false;
+  bool again = false;  ///< handed off work due inside the round's window
   std::exception_ptr error;
 
   std::thread thread;
@@ -137,13 +159,16 @@ void ParallelScheduler::WorkerLoop(int idx) {
     b.cv_go.wait(lk, [&] { return b.stop || b.go_round != seen; });
     if (b.stop) return;
     seen = b.go_round;
-    const SimTime limit = b.limit;
+    const SimTime lo = b.lo;
+    const SimTime hi = b.hi;
     lk.unlock();
 
     std::uint64_t exec = 0;
-    bool pushed = false;
     std::exception_ptr err;
-    tl_ctx = WorkerCtx{this, idx, seen, &pushed};
+    tl_ctx = WorkerCtx{this, idx, seen, lo, hi, lo, false};
+    self.sent_due = kNoDue;
+    self.sent_barrier = kNoDue;
+    self.again = false;
 
     // Merge: conductor-staged work, cross-thread cancels, and the inbox
     // the producers filled last round — in deterministic (at, src, seq)
@@ -164,24 +189,25 @@ void ParallelScheduler::WorkerLoop(int idx) {
                 return a.seq < b.seq;
               });
     for (auto& item : batch)
-      self.queue.push(Locality::Entry{item.at, self.prio_seq++, item.id,
-                                      std::move(item.fn)});
+      self.Push(item.at, item.id, item.barrier, std::move(item.fn));
     for (TaskId id : cancels) self.cancelled.insert(id);
 
-    // Execute everything due at the horizon. Locally-scheduled same-time
-    // work runs within this round (matching the sim's run-to-completion at
-    // a timestamp); handoffs land in peers' inboxes for the next round.
+    // Execute everything due inside the window, in time order. Locally
+    // scheduled work due inside it runs within this round (matching the
+    // sim's run-to-completion); handoffs land in peers' inboxes for the
+    // next round.
     try {
-      while (!self.queue.empty() && self.queue.top().at <= limit) {
-        Locality::Entry e =
-            std::move(const_cast<Locality::Entry&>(self.queue.top()));
-        self.queue.pop();
+      while (!self.queue.empty() && self.queue.top().at <= hi) {
+        Locality::Entry e = self.Pop();
         if (auto it = self.cancelled.find(e.id);
             it != self.cancelled.end()) {
           self.cancelled.erase(it);
           continue;
         }
         ++exec;
+        tl_ctx.now = e.at;
+        tl_ctx.in_barrier = e.barrier;
+        self.last_run = e.at;
         e.fn();
       }
     } catch (...) {
@@ -193,99 +219,135 @@ void ParallelScheduler::WorkerLoop(int idx) {
       auto it = self.cancelled.find(self.queue.top().id);
       if (it == self.cancelled.end()) break;
       self.cancelled.erase(it);
-      self.queue.pop();
+      self.Pop();
     }
     tl_ctx = WorkerCtx{};
 
     lk.lock();
     self.executed += exec;
-    self.did_work = exec > 0 || pushed;
     self.next_due = self.queue.empty() ? kNoDue : self.queue.top().at;
+    self.next_barrier =
+        self.barriers.empty() ? kNoDue : *self.barriers.begin();
     if (err && !self.error) self.error = err;
     if (++b.arrived == num_localities_) b.cv_done.notify_all();
   }
 }
 
+SimTime ParallelScheduler::Now() const {
+  return tl_ctx.sched == this ? tl_ctx.now : now_;
+}
+
 TaskId ParallelScheduler::ScheduleAt(SimTime t, std::function<void()> fn) {
-  if (t < now_) t = now_;
+  if (t < Now()) t = Now();
   std::uint64_t aff = 0;
   const bool has_aff = Scheduler::AffinityScope::Current(aff);
+  // Affinity-less work is a window barrier when it comes from the
+  // conductor or from a barrier task: it may touch any Core.
   if (tl_ctx.sched == this) {
-    const int dest = has_aff ? LocalityOf(aff) : tl_ctx.loc;
-    return WorkerEnqueue(dest, t, std::move(fn));
+    if (has_aff)
+      return WorkerEnqueue(LocalityOf(aff), t, std::move(fn), false);
+    return WorkerEnqueue(tl_ctx.loc, t, std::move(fn), tl_ctx.in_barrier);
   }
-  const int dest = has_aff ? LocalityOf(aff) : 0;
-  return StageEnqueue(dest, t, std::move(fn));
+  if (has_aff) return StageEnqueue(LocalityOf(aff), t, std::move(fn), false);
+  return StageEnqueue(0, t, std::move(fn), true);
 }
 
 TaskId ParallelScheduler::Post(std::uint64_t affinity, SimTime t,
-                               std::function<void()> fn) {
-  if (t < now_) t = now_;
+                               std::function<void()> fn, bool barrier) {
+  if (t < Now()) t = Now();
   const int dest = LocalityOf(affinity);
-  if (tl_ctx.sched == this) return WorkerEnqueue(dest, t, std::move(fn));
-  return StageEnqueue(dest, t, std::move(fn));
+  if (tl_ctx.sched == this)
+    return WorkerEnqueue(dest, t, std::move(fn), barrier);
+  return StageEnqueue(dest, t, std::move(fn), barrier);
 }
 
 TaskId ParallelScheduler::WorkerEnqueue(int dest, SimTime t,
-                                        std::function<void()> fn) {
+                                        std::function<void()> fn,
+                                        bool barrier) {
+  // Inside a window another locality may already have run past `t`, and a
+  // barrier must never run inside one.
+  if (tl_ctx.hi > tl_ctx.lo && t <= tl_ctx.hi &&
+      (dest != tl_ctx.loc || barrier))
+    throw FargoError(
+        "lookahead violation: locality " + std::to_string(tl_ctx.loc) +
+        " posted a " + (barrier ? "barrier task" : "task") +
+        " for locality " + std::to_string(dest) + " due at " +
+        std::to_string(t) + " inside the window [" +
+        std::to_string(tl_ctx.lo) + ", " + std::to_string(tl_ctx.hi) +
+        "] (cross-locality work must be at least the lookahead away)");
   Locality& self = *locs_[static_cast<std::size_t>(tl_ctx.loc)];
   const TaskId id =
       MakeId(dest, static_cast<unsigned>(tl_ctx.loc) + 1, self.id_seq++);
   if (dest == tl_ctx.loc) {
-    self.queue.push(
-        Locality::Entry{t, self.prio_seq++, id, std::move(fn)});
-  } else {
-    locs_[static_cast<std::size_t>(dest)]
-        ->inbox(tl_ctx.round & 1)
-        .Push(HandoffQueue::Item{t, static_cast<std::uint32_t>(tl_ctx.loc),
-                                 self.merge_seq++, id, std::move(fn)});
-    ++self.handoffs;
-    *tl_ctx.pushed = true;
+    self.Push(t, id, barrier, std::move(fn));
+    return id;
   }
+  locs_[static_cast<std::size_t>(dest)]
+      ->inbox(tl_ctx.round & 1)
+      .Push(HandoffQueue::Item{t, static_cast<std::uint32_t>(tl_ctx.loc),
+                               self.merge_seq++, id, std::move(fn), barrier});
+  ++self.handoffs;
+  self.sent_due = std::min(self.sent_due, t);
+  if (barrier) self.sent_barrier = std::min(self.sent_barrier, t);
+  if (t <= tl_ctx.hi) self.again = true;
   return id;
 }
 
 TaskId ParallelScheduler::StageEnqueue(int dest, SimTime t,
-                                       std::function<void()> fn) {
+                                       std::function<void()> fn,
+                                       bool barrier) {
   const TaskId id = MakeId(dest, 0, conductor_ids_++);
+  staged_due_ = std::min(staged_due_, t);
+  if (barrier) staged_barrier_ = std::min(staged_barrier_, t);
   Locality& loc = *locs_[static_cast<std::size_t>(dest)];
   std::lock_guard<std::mutex> sl(loc.staging_mu);
-  loc.staged.push_back(
-      HandoffQueue::Item{t, kConductorRank, conductor_seq_++, id,
-                         std::move(fn)});
+  loc.staged.push_back(HandoffQueue::Item{t, kConductorRank, conductor_seq_++,
+                                          id, std::move(fn), barrier});
   return id;
 }
 
 void ParallelScheduler::Cancel(TaskId id) {
   const int dest = IdDest(id);
   if (dest < 0 || dest >= num_localities_) return;
-  if (tl_ctx.sched == this && dest == tl_ctx.loc) {
+  const bool worker = tl_ctx.sched == this;
+  if (worker && dest == tl_ctx.loc) {
     locs_[static_cast<std::size_t>(dest)]->cancelled.insert(id);
     return;
   }
+  if (worker && tl_ctx.hi > tl_ctx.lo)
+    throw FargoError("lookahead violation: locality " +
+                     std::to_string(tl_ctx.loc) +
+                     " cancelled a task of locality " + std::to_string(dest) +
+                     " inside the window [" + std::to_string(tl_ctx.lo) +
+                     ", " + std::to_string(tl_ctx.hi) + "]");
   Locality& loc = *locs_[static_cast<std::size_t>(dest)];
   {
     std::lock_guard<std::mutex> sl(loc.staging_mu);
     loc.staged_cancels.push_back(id);
   }
-  if (tl_ctx.sched == this) *tl_ctx.pushed = true;
+  if (worker)
+    locs_[static_cast<std::size_t>(tl_ctx.loc)]->again = true;
+  else
+    staged_cancels_ = true;
 }
 
-bool ParallelScheduler::RunRoundsUntilQuiet(
-    SimTime limit, const std::function<bool()>* pred) {
+bool ParallelScheduler::RunRounds(SimTime lo, SimTime hi,
+                                  const std::function<bool()>* pred) {
   Barrier& b = *barrier_;
   for (;;) {
-    bool any = false;
+    bool again = false;
     std::exception_ptr err;
     {
       std::unique_lock<std::mutex> lk(b.mu);
       b.arrived = 0;
-      b.limit = limit;
+      b.lo = lo;
+      b.hi = hi;
       ++b.go_round;
       b.cv_go.notify_all();
       b.cv_done.wait(lk, [&] { return b.arrived == num_localities_; });
       for (auto& l : locs_) {
-        any = any || l->did_work;
+        again = again || l->again;
+        now_ = std::max(now_, l->last_run);
         if (l->error && !err) {
           err = l->error;
           l->error = nullptr;
@@ -293,27 +355,36 @@ bool ParallelScheduler::RunRoundsUntilQuiet(
       }
     }
     ++rounds_;
+    staged_due_ = kNoDue;
+    staged_barrier_ = kNoDue;
+    staged_cancels_ = false;
     if (err) std::rethrow_exception(err);
     if (pred && (*pred)()) return true;
-    if (!any) return false;
+    if (!again) return false;
   }
 }
 
-bool ParallelScheduler::AnyPendingExternal() const {
-  for (const auto& l : locs_) {
-    {
-      std::lock_guard<std::mutex> sl(l->staging_mu);
-      if (!l->staged.empty() || !l->staged_cancels.empty()) return true;
-    }
-    if (!l->inbox0.Empty() || !l->inbox1.Empty()) return true;
-  }
-  return false;
-}
-
-SimTime ParallelScheduler::MinNextDue() const {
-  SimTime m = kNoDue;
-  for (const auto& l : locs_) m = std::min(m, l->next_due);
+SimTime ParallelScheduler::NextDue() const {
+  // Conductor cancels are merged by a round at the current clock first,
+  // so the due time that follows names a live event (as the sim's would).
+  if (staged_cancels_) return now_;
+  SimTime m = staged_due_;
+  for (const auto& l : locs_) m = std::min({m, l->next_due, l->sent_due});
   return m;
+}
+
+SimTime ParallelScheduler::NextBarrier() const {
+  SimTime m = staged_barrier_;
+  for (const auto& l : locs_)
+    m = std::min({m, l->next_barrier, l->sent_barrier});
+  return m;
+}
+
+SimTime ParallelScheduler::WindowEnd(SimTime lo, SimTime limit) const {
+  const SimTime lookahead = lookahead_ ? lookahead_() : 0;
+  const SimTime barrier = NextBarrier();
+  if (lookahead <= 1 || barrier <= lo) return lo;
+  return std::min({lo + (lookahead - 1), limit, barrier - 1});
 }
 
 std::uint64_t ParallelScheduler::ExecutedLocked() const {
@@ -326,34 +397,20 @@ bool ParallelScheduler::RunOne() {
   PumpGuard guard(*this);
   EnsureStarted();
   const std::uint64_t before = ExecutedLocked();
-  for (;;) {
-    if (AnyPendingExternal()) {
-      RunRoundsUntilQuiet(now_, nullptr);
-      if (ExecutedLocked() > before) return true;
-      continue;
-    }
-    const SimTime due = MinNextDue();
-    if (due == kNoDue) return ExecutedLocked() > before;
+  while (ExecutedLocked() == before) {
+    const SimTime due = NextDue();
+    if (due == kNoDue) return false;
     if (due > now_) now_ = due;
-    RunRoundsUntilQuiet(now_, nullptr);
-    if (ExecutedLocked() > before) return true;
-    // Cancelled-only timestamp: keep advancing.
+    RunRounds(now_, now_, nullptr);  // a cancelled-only timestamp loops
   }
+  return true;
 }
 
 void ParallelScheduler::RunUntilIdle() {
   PumpGuard guard(*this);
   EnsureStarted();
-  for (;;) {
-    if (AnyPendingExternal()) {
-      RunRoundsUntilQuiet(now_, nullptr);
-      continue;
-    }
-    const SimTime due = MinNextDue();
-    if (due == kNoDue) return;
-    if (due > now_) now_ = due;
-    RunRoundsUntilQuiet(now_, nullptr);
-  }
+  for (SimTime due = NextDue(); due != kNoDue; due = NextDue())
+    RunRounds(due, WindowEnd(due, kNoDue), nullptr);
 }
 
 void ParallelScheduler::RunUntil(const std::function<bool()>& pred) {
@@ -361,16 +418,12 @@ void ParallelScheduler::RunUntil(const std::function<bool()>& pred) {
   EnsureStarted();
   for (;;) {
     if (pred()) return;
-    if (AnyPendingExternal()) {
-      if (RunRoundsUntilQuiet(now_, &pred)) return;
-      continue;
-    }
-    const SimTime due = MinNextDue();
+    const SimTime due = NextDue();
     if (due == kNoDue)
       throw FargoError("scheduler drained while awaiting a condition "
                        "(lost message or dead peer?)");
     if (due > now_) now_ = due;
-    if (RunRoundsUntilQuiet(now_, &pred)) return;
+    if (RunRounds(now_, now_, &pred)) return;
   }
 }
 
@@ -380,18 +433,14 @@ bool ParallelScheduler::RunUntilOr(const std::function<bool()>& pred,
   EnsureStarted();
   for (;;) {
     if (pred()) return true;
-    if (AnyPendingExternal()) {
-      if (RunRoundsUntilQuiet(now_, &pred)) return true;
-      continue;
-    }
-    const SimTime due = MinNextDue();
+    const SimTime due = NextDue();
     if (due == kNoDue || due > deadline) {
       // No more events before the deadline: advance to it and give up.
       if (deadline > now_) now_ = deadline;
       return pred();
     }
     if (due > now_) now_ = due;
-    if (RunRoundsUntilQuiet(now_, &pred)) return true;
+    if (RunRounds(now_, now_, &pred)) return true;
   }
 }
 
@@ -399,19 +448,9 @@ void ParallelScheduler::RunFor(SimTime d) {
   PumpGuard guard(*this);
   EnsureStarted();
   const SimTime limit = now_ + d;
-  for (;;) {
-    if (AnyPendingExternal()) {
-      RunRoundsUntilQuiet(now_, nullptr);
-      continue;
-    }
-    const SimTime due = MinNextDue();
-    if (due == kNoDue || due > limit) {
-      now_ = limit;
-      return;
-    }
-    if (due > now_) now_ = due;
-    RunRoundsUntilQuiet(now_, nullptr);
-  }
+  for (SimTime due = NextDue(); due <= limit; due = NextDue())
+    RunRounds(due, WindowEnd(due, limit), nullptr);
+  now_ = limit;
 }
 
 std::size_t ParallelScheduler::PendingCount() const {
@@ -444,9 +483,16 @@ void ParallelScheduler::Clear() {
     l->inbox0.DrainInto(discard);
     l->inbox1.DrainInto(discard);
     l->queue = {};
+    l->barriers.clear();
     l->cancelled.clear();
     l->next_due = kNoDue;
+    l->next_barrier = kNoDue;
+    l->sent_due = kNoDue;
+    l->sent_barrier = kNoDue;
   }
+  staged_due_ = kNoDue;
+  staged_barrier_ = kNoDue;
+  staged_cancels_ = false;
 }
 
 std::uint64_t ParallelScheduler::executed() const { return ExecutedLocked(); }

@@ -2,31 +2,48 @@
 //
 // N worker threads, each *owning* a disjoint set of Cores by affinity
 // (`affinity % localities()`), execute InvocationUnits/MovementUnits as
-// non-blocking state machines. The engine is a conservative time-stepped
-// parallel discrete-event scheduler:
+// non-blocking state machines. The engine is a conservative parallel
+// discrete-event scheduler with link-latency lookahead (Chandy–Misra):
 //
 //  - The *conductor* (whichever thread calls the Run* pumps — tests, shell,
-//    benches) advances the global virtual clock to the next due timestamp
-//    and releases the workers for one or more barrier-synchronized
-//    *micro-rounds* at that time.
+//    benches) picks the earliest pending timestamp `t` and releases the
+//    workers for one barrier-synchronized *round* over a window of virtual
+//    time [t, hi].
 //  - During a round each worker drains its own priority queue of events due
-//    at the current time. A continuation targeting another Core's ownership
-//    domain is never run in place: it is handed off to the owning locality
-//    through a bounded MPSC inbox (handoff.h) and executes in the next
-//    micro-round.
-//  - Rounds repeat at the same timestamp until no locality executed or
-//    handed anything off; only then does the clock advance. Virtual-time
-//    semantics are therefore identical to the sim engine: an event
-//    scheduled for time T runs at Now() == T, never early, never late.
+//    at or before `hi`, in time order; on a worker, Now() is the time of
+//    the task it is executing. A continuation targeting another Core's
+//    ownership domain is never run in place: it is handed off to the owning
+//    locality through a bounded MPSC inbox (handoff.h) and merged at the
+//    start of the next round.
+//  - Every cross-locality task is a network delivery, due no earlier than
+//    the sender's Now() + the minimum inter-Core link latency L (the
+//    *lookahead*, SetLookahead). So RunFor and RunUntilIdle run windows
+//    hi = min(t + L - 1, pump limit, next barrier task - 1): nothing a
+//    locality does inside the window can reach another locality inside
+//    it. A worker that posts across localities into the current window, or
+//    cancels across localities during one, throws "lookahead violation" at
+//    the pump — a task never runs late unnoticed.
+//  - *Barrier tasks* — affinity-less conductor ScheduleAt (link flaps, test
+//    closures), what those schedule without affinity, and Post(..., true)
+//    (scheduled crashes/restarts) — touch state other Cores read. Windows
+//    end before them and they run in a round of their own timestamp, as do
+//    the predicate pumps (RunUntil, RunUntilOr, RunOne), so "pump, then
+//    assert" stops exactly where the sim engine stops.
+//  - A round has a successor at the same horizon only if a locality handed
+//    off a task due inside it or staged a cancel; later handoffs are folded
+//    into the next window's start through each locality's published
+//    earliest handoff. An event scheduled for time T runs at Now() == T,
+//    never early, never late — the sim engine's virtual-time semantics.
 //
 // Determinism: each locality's inbox is drained in sorted
-// (time, source-locality, source-seq) order, and every producer stamps a
-// private monotone seq, so the merged execution order per locality is a
-// pure function of the workload — two runs with the same FARGO_PARALLEL=N
-// are identical. (Sim and parallel interleave same-time events across
-// *different* Cores differently; what is mode-invariant is the observable
-// behavior — ledger contents, exactly-once, wire traffic per link — not
-// internal event order. See DESIGN.md §localities.)
+// (time, source-locality, source-seq) order, every producer stamps a
+// private monotone seq, and window bounds are a function of queue contents
+// only, so the execution order per locality is a pure function of the
+// workload — two runs with the same FARGO_PARALLEL=N are identical. (Sim
+// and parallel interleave same-time events across *different* Cores
+// differently; what is mode-invariant is the observable behavior — ledger
+// contents, exactly-once, wire traffic per link — not internal event
+// order. See DESIGN.md §5.1.)
 //
 // Pumping is a conductor privilege: a worker entering RunUntil & friends
 // throws FargoError (scheduler.h PumpGuard). Between rounds the workers
@@ -37,6 +54,8 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -53,10 +72,20 @@ class ParallelScheduler final : public Scheduler {
                              std::size_t handoff_capacity = 1024);
   ~ParallelScheduler() override;
 
-  SimTime Now() const override { return now_; }
+  /// The lookahead source: the smallest virtual delay with which work on
+  /// one locality can reach another (Runtime wires the network's minimum
+  /// inter-Core link latency). Read by the conductor before each window.
+  /// Unset or ≤ 1 keeps per-timestamp rounds.
+  void SetLookahead(std::function<SimTime()> lookahead) {
+    lookahead_ = std::move(lookahead);
+  }
+
+  /// On a worker: the time of the task being executed. Elsewhere: the
+  /// global clock.
+  SimTime Now() const override;
   TaskId ScheduleAt(SimTime t, std::function<void()> fn) override;
-  TaskId Post(std::uint64_t affinity, SimTime t,
-              std::function<void()> fn) override;
+  TaskId Post(std::uint64_t affinity, SimTime t, std::function<void()> fn,
+              bool barrier = false) override;
   void Cancel(TaskId id) override;
   bool RunOne() override;
   void RunUntilIdle() override;
@@ -80,36 +109,39 @@ class ParallelScheduler final : public Scheduler {
   struct Telemetry {
     std::uint64_t handoffs = 0;   ///< cross-locality tasks enqueued
     std::uint64_t overflows = 0;  ///< handoffs past the lock-free bound
-    std::uint64_t steals = 0;     ///< always 0: affinity is strict, no
-                                  ///< work stealing — the counter exists
-                                  ///< so the invariant is observable
-    std::uint64_t rounds = 0;     ///< barrier micro-rounds driven
+    std::uint64_t rounds = 0;     ///< barrier rounds driven
     std::uint64_t max_queue_depth = 0;  ///< largest single inbox drain
   };
   Telemetry telemetry() const;
 
  private:
   struct Locality;  // defined in parallel_sched.cpp (owns the thread)
+  static constexpr SimTime kNoDue = std::numeric_limits<SimTime>::max();
 
   void EnsureStarted();
   void WorkerLoop(int idx);
-  TaskId WorkerEnqueue(int dest, SimTime t, std::function<void()> fn);
-  /// Drives barrier micro-rounds at time `limit` until every locality is
-  /// quiescent (nothing executed, nothing handed off). If `pred` is given
-  /// it is checked between rounds; returns true the moment it holds.
-  bool RunRoundsUntilQuiet(SimTime limit, const std::function<bool()>* pred);
-  /// True when any staging area or inbox holds tasks not yet merged into a
-  /// locality queue (conductor-side scheduling between pumps).
-  bool AnyPendingExternal() const;
-  /// Earliest due time across all locality queues (kNoDue when drained).
-  SimTime MinNextDue() const;
+  TaskId WorkerEnqueue(int dest, SimTime t, std::function<void()> fn,
+                       bool barrier);
+  TaskId StageEnqueue(int dest, SimTime t, std::function<void()> fn,
+                      bool barrier);
+  /// Drives rounds over the window [lo, hi] until none hands off work due
+  /// inside it. If `pred` is given it is checked between rounds; returns
+  /// true the moment it holds.
+  bool RunRounds(SimTime lo, SimTime hi, const std::function<bool()>* pred);
+  /// Earliest due time across locality queues, handoffs in flight and
+  /// conductor staging (kNoDue when drained); the current clock while
+  /// conductor cancels wait to be merged.
+  SimTime NextDue() const;
+  /// Earliest barrier task, same sources.
+  SimTime NextBarrier() const;
+  /// End of the lookahead window opening at `lo` (≤ `limit`).
+  SimTime WindowEnd(SimTime lo, SimTime limit) const;
   std::uint64_t ExecutedLocked() const;
-
-  TaskId StageEnqueue(int dest, SimTime t, std::function<void()> fn);
 
   const int num_localities_;
   const std::size_t handoff_capacity_;
   std::vector<std::unique_ptr<Locality>> locs_;
+  std::function<SimTime()> lookahead_;
 
   SimTime now_ = 0;  ///< written by the conductor while workers are parked
 
@@ -120,6 +152,10 @@ class ParallelScheduler final : public Scheduler {
   bool started_ = false;
   std::uint64_t conductor_ids_ = 1;  ///< conductor-minted TaskId counter
   std::uint64_t conductor_seq_ = 0;  ///< conductor merge-key counter
+  // Conductor staging since the last round (every round merges it all).
+  SimTime staged_due_ = kNoDue;
+  SimTime staged_barrier_ = kNoDue;
+  bool staged_cancels_ = false;
   std::uint64_t rounds_ = 0;
 };
 

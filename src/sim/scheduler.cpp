@@ -115,18 +115,30 @@ void SimScheduler::RunFor(SimTime d) {
 
 PeriodicTask::PeriodicTask(Scheduler& sched, SimTime interval,
                            std::function<void()> fn)
-    : impl_(std::make_shared<Impl>(Impl{sched, interval, std::move(fn)})) {
+    : impl_(std::make_shared<Impl>(
+          Impl{sched, interval, std::move(fn), std::nullopt})) {
+  Arm(impl_);
+}
+
+PeriodicTask::PeriodicTask(Scheduler& sched, std::uint64_t owner,
+                           SimTime interval, std::function<void()> fn)
+    : impl_(std::make_shared<Impl>(
+          Impl{sched, interval, std::move(fn), owner})) {
   Arm(impl_);
 }
 
 PeriodicTask::~PeriodicTask() { Stop(); }
 
 void PeriodicTask::Arm(const std::shared_ptr<Impl>& impl) {
-  impl->sched.ScheduleAfter(impl->interval, [impl] {
+  auto tick = [impl] {
     if (!impl->running) return;
     impl->fn();
     if (impl->running) Arm(impl);
-  });
+  };
+  if (impl->owner)
+    impl->sched.PostAfter(*impl->owner, impl->interval, std::move(tick));
+  else
+    impl->sched.ScheduleAfter(impl->interval, std::move(tick));
 }
 
 void PeriodicTask::Stop() { impl_->running = false; }

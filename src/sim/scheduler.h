@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <queue>
 #include <unordered_set>
 #include <vector>
@@ -75,9 +76,15 @@ class Scheduler {
   /// home locality rather than run in place. The sim engine ignores the
   /// key — Post degrades to ScheduleAt, which is what makes the two modes
   /// observably equivalent.
+  ///
+  /// `barrier` marks a task that flips state other Cores read (a scheduled
+  /// crash or restart): the parallel engine ends every lookahead window
+  /// before it and runs it in a round of its own timestamp. The sim engine
+  /// ignores the flag too.
   virtual TaskId Post(std::uint64_t affinity, SimTime t,
-                      std::function<void()> fn) {
+                      std::function<void()> fn, bool barrier = false) {
     (void)affinity;
+    (void)barrier;
     return ScheduleAt(t, std::move(fn));
   }
 
@@ -259,13 +266,20 @@ class SimScheduler final : public Scheduler {
   std::unordered_set<TaskId> cancelled_;
 };
 
-/// A self-rescheduling task; used by continuous profiling. Destroying or
-/// stopping the task is safe at any point — including from within its own
-/// callback (the callback's state is kept alive by the in-flight event).
+/// A self-rescheduling task; used by continuous profiling, heartbeats and
+/// periodic script rules. Destroying or stopping the task is safe at any
+/// point — including from within its own callback (the callback's state is
+/// kept alive by the in-flight event).
 // fargo: domain(sim)
 class PeriodicTask {
  public:
+  /// Ticks follow ScheduleAfter's routing: the arming thread's locality
+  /// (or ambient AffinityScope), and each tick re-arms from where it runs.
   PeriodicTask(Scheduler& sched, SimTime interval, std::function<void()> fn);
+  /// Ticks are Post()ed to `owner`'s home locality — the Core whose state
+  /// `fn` touches — whichever thread arms the task.
+  PeriodicTask(Scheduler& sched, std::uint64_t owner, SimTime interval,
+               std::function<void()> fn);
   ~PeriodicTask();
   PeriodicTask(const PeriodicTask&) = delete;
   PeriodicTask& operator=(const PeriodicTask&) = delete;
@@ -279,6 +293,7 @@ class PeriodicTask {
     Scheduler& sched;
     SimTime interval;
     std::function<void()> fn;
+    std::optional<std::uint64_t> owner;
     bool running = true;
   };
   static void Arm(const std::shared_ptr<Impl>& impl);

@@ -122,6 +122,33 @@ TEST_F(DirectoryTest, BroadcastMapReachesEveryPeer) {
   EXPECT_EQ(maps, 3u);  // every peer got a copy; HandleMap decoded it
 }
 
+TEST_F(DirectoryTest, WireMapIsAdoptedPerCoreNotDeploymentWide) {
+  // kDirectoryMap is handled on the receiving Core's locality, so adoption
+  // lands in that Core's Directory; the Runtime's map stays conductor-only.
+  auto cores = MakeCores(3);
+  rt.EnableDirectory({cores[0]->id()});
+  const std::uint64_t v = rt.shard_map().version;
+  serial::Writer w;
+  core::WriteShardMap(w, core::MakeShardMap(v + 1, {cores[2]->id()}));
+  net::Message msg;
+  msg.from = cores[0]->id();
+  msg.to = cores[1]->id();
+  msg.kind = net::MessageKind::kDirectoryMap;
+  msg.payload = w.Take();
+  rt.network().Send(std::move(msg));
+  rt.RunUntilIdle();
+
+  const ComletId id{cores[0]->id(), 42};
+  EXPECT_EQ(rt.shard_map().version, v);
+  EXPECT_EQ(cores[0]->directory().shard_map().version, v);
+  EXPECT_EQ(cores[0]->directory().OwnerOf(id), cores[0]->id());
+  EXPECT_EQ(cores[1]->directory().shard_map().version, v + 1);
+  EXPECT_EQ(cores[1]->directory().OwnerOf(id), cores[2]->id());
+  // A deployment-wide map at least as new wins again (higher version).
+  rt.EnableDirectory({cores[0]->id()});
+  EXPECT_EQ(cores[1]->directory().OwnerOf(id), cores[0]->id());
+}
+
 TEST_F(DirectoryTest, OriginModeIsTheLegacyHomeRegistry) {
   auto cores = MakeCores(2);
   rt.EnableHomeRegistry(true);

@@ -100,6 +100,18 @@ TEST_F(NetworkTest, DefaultLinkAppliesToUnknownPairs) {
   EXPECT_EQ(net.GetLink(a, c).latency, Millis(42));
 }
 
+TEST_F(NetworkTest, MinLatencyTracksEveryInterCoreLink) {
+  EXPECT_EQ(net.min_latency(), LinkModel{}.latency);
+  net.SetLinkOneWay(a, b, LinkModel{Millis(2), 1e9, true});
+  EXPECT_EQ(net.min_latency(), Millis(2));
+  net.SetLink(a, b, LinkModel{Millis(30), 1e9, true});  // raised again
+  EXPECT_EQ(net.min_latency(), LinkModel{}.latency);
+  net.SetDefaultLink(LinkModel{Millis(1), 1e9, true});
+  EXPECT_EQ(net.min_latency(), Millis(1));
+  net.SetLinkOneWay(c, c, LinkModel{0, 1e9, true});  // loopback never counts
+  EXPECT_EQ(net.min_latency(), Millis(1));
+}
+
 TEST_F(NetworkTest, LinkModelChangesMidRun) {
   net.Register(b, [](Message) {});
   net.SetLink(a, b, LinkModel{Millis(1), 1e12, true});

@@ -12,6 +12,7 @@
 #include <functional>
 #include <map>
 #include <mutex>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -126,7 +127,6 @@ TEST(ParallelSchedulerTest, PostRoutesToTheOwningLocality) {
   sched.RunUntilIdle();
   EXPECT_EQ(ran.load(), 3);
   EXPECT_GE(sched.telemetry().handoffs, 3u);
-  EXPECT_EQ(sched.telemetry().steals, 0u);  // affinity is strict
   EXPECT_GT(sched.telemetry().rounds, 0u);
 }
 
@@ -249,7 +249,6 @@ TEST(ParallelSchedulerTest, TelemetryCountsHandoffTraffic) {
   EXPECT_GE(t.handoffs, 32u);
   EXPECT_GT(t.overflows, 0u);
   EXPECT_GE(t.max_queue_depth, 32u);
-  EXPECT_EQ(t.steals, 0u);
 }
 
 TEST(ParallelSchedulerTest, AffinityScopeRoutesConductorWork) {
@@ -272,6 +271,121 @@ TEST(ParallelSchedulerTest, AffinityScopeRoutesConductorWork) {
   sched.RunUntilIdle();
   ASSERT_EQ(order.size(), 16u);
   for (int i = 0; i < 16; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
+}
+
+// ---------------------------------------------------------------------------
+// Lookahead windows: with a lookahead L, RunFor/RunUntilIdle run one round
+// over [t, t + L - 1] instead of stepping every timestamp.
+// ---------------------------------------------------------------------------
+
+constexpr SimTime kLookahead = 10;
+
+/// Four independent chains hop across `kLoc` affinities. Every delay is a
+/// multiple of 4 and chain c starts at time c, so no two events share a
+/// timestamp: per-locality order and Now() values are fully determined,
+/// and must be the sim's. Cross-locality hops are at least the lookahead
+/// away; local hops are shorter, so windows hold several events each.
+template <int kLoc>
+std::array<std::vector<std::pair<int, SimTime>>, kLoc> RunChains(
+    Scheduler& s) {
+  std::mutex mu;
+  std::array<std::vector<std::pair<int, SimTime>>, kLoc> seen;
+  std::function<void(int, std::uint64_t, int)> hop =
+      [&](int chain, std::uint64_t aff, int left) {
+        {
+          std::lock_guard<std::mutex> lock(mu);
+          seen[aff % kLoc].emplace_back(chain, s.Now());
+        }
+        if (left == 0) return;
+        const bool cross = (left + chain) % 3 != 0;
+        const std::uint64_t next = cross ? aff + 1 : aff;
+        const SimTime delay = cross ? 12 + 4 * (left % 2) : 4;
+        s.Post(next, s.Now() + delay,
+               [&hop, chain, next, left] { hop(chain, next, left - 1); });
+      };
+  for (int c = 0; c < 4; ++c)
+    s.Post(static_cast<std::uint64_t>(c), c,
+           [&hop, c] { hop(c, static_cast<std::uint64_t>(c), 40); });
+  s.RunUntilIdle();
+  return seen;
+}
+
+TEST(ParallelSchedulerTest,
+     WindowsMatchTheSimOnAChainedCrossLocalityWorkload) {
+  SimScheduler sim;
+  const auto want = RunChains<3>(sim);
+  ParallelScheduler par(3);
+  par.SetLookahead([] { return kLookahead; });
+  const auto got = RunChains<3>(par);
+  for (std::size_t l = 0; l < want.size(); ++l)
+    EXPECT_EQ(got[l], want[l]) << "locality " << l;
+  EXPECT_EQ(par.Now(), sim.Now());
+  EXPECT_EQ(par.executed(), sim.executed());
+  // The windows did the work: far fewer rounds than distinct timestamps.
+  EXPECT_LT(par.telemetry().rounds, sim.executed() / 2);
+}
+
+TEST(ParallelSchedulerTest,
+     CrossLocalityPostInsideTheWindowIsALookaheadViolation) {
+  ParallelScheduler sched(2);
+  sched.SetLookahead([] { return kLookahead; });
+  sched.Post(0, 5, [&] { sched.Post(1, sched.Now() + 3, [] {}); });
+  try {
+    sched.RunUntilIdle();
+    FAIL() << "expected a lookahead violation";
+  } catch (const FargoError& e) {
+    EXPECT_NE(std::string(e.what()).find("lookahead violation"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(ParallelSchedulerTest,
+     CrossLocalityCancelInsideAWindowIsALookaheadViolation) {
+  ParallelScheduler sched(2);
+  sched.SetLookahead([] { return kLookahead; });
+  const TaskId far = sched.Post(1, 100, [] {});
+  sched.Post(0, 5, [&sched, far] { sched.Cancel(far); });
+  EXPECT_THROW(sched.RunUntilIdle(), FargoError);
+}
+
+TEST(ParallelSchedulerTest, AffinityLessConductorTaskCapsTheWindow) {
+  // The closure at 30 has no affinity, so it may read any locality's state:
+  // it must see locality 1 exactly as of time 30, never its event at 50,
+  // although 10..50 all fit in one lookahead window.
+  ParallelScheduler sched(2);
+  sched.SetLookahead([] { return SimTime{100}; });
+  std::atomic<int> progress{0};
+  sched.Post(1, 10, [&] { progress.store(1); });
+  sched.Post(1, 50, [&] { progress.store(2); });
+  int seen = -1;
+  SimTime at = -1;
+  sched.ScheduleAt(30, [&] {
+    seen = progress.load();
+    at = sched.Now();
+  });
+  sched.RunUntilIdle();
+  EXPECT_EQ(seen, 1);
+  EXPECT_EQ(at, 30);
+  EXPECT_EQ(progress.load(), 2);
+  // [10, 29], then the barrier's own round, then [50, ...].
+  EXPECT_EQ(sched.telemetry().rounds, 3u);
+}
+
+TEST(ParallelSchedulerTest, OneLocalityTimestampCostsOneRound) {
+  // No quiet confirmation round: work that stays on its locality — even
+  // same-time follow-ups it schedules itself — finishes in one round.
+  ParallelScheduler sched(2);
+  sched.SetLookahead([] { return kLookahead; });
+  std::atomic<int> ran{0};
+  sched.Post(0, 20, [&] {
+    ran.fetch_add(1);
+    sched.ScheduleAt(sched.Now(), [&] { ran.fetch_add(1); });
+  });
+  sched.RunUntilIdle();
+  EXPECT_EQ(ran.load(), 2);
+  EXPECT_EQ(sched.telemetry().rounds, 1u);
+  EXPECT_EQ(sched.Now(), 20);
 }
 
 }  // namespace
