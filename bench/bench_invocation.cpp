@@ -97,6 +97,11 @@ void PipelinedVsSyncTable(Report& report) {
       const SimTime t0 = w.rt.scheduler().Now();
       for (int j = 0; j < k; ++j) ref.Call("get");
       section.Commit();
+      // Each settled call cancels its RPC timeout; the queue must not keep
+      // one dead timer per call.
+      report.Gate("sync_k" + std::to_string(k) + ".queue_peak",
+                  static_cast<std::uint64_t>(
+                      w.rt.metrics().GaugeValue("sched.queue_peak")));
       sync_ms = ToMillis(w.rt.scheduler().Now() - t0);
     }
     // Pipelined: all K requests leave before the first reply lands.

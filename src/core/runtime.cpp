@@ -151,6 +151,11 @@ void Runtime::SyncSerialStats() {
       .Inc(now.bytes_copied - synced_regrow_bytes_);
   synced_allocations_ = now.allocations;
   synced_regrow_bytes_ = now.bytes_copied;
+  // High-water mark of the event queue: cancelled timers leave it at once,
+  // so this tracks live work, not dead RPC timeouts.
+  auto& peak = metrics_.gauge("sched.queue_peak");
+  const auto queue_peak = static_cast<double>(scheduler_->QueuePeak());
+  if (queue_peak > peak.value()) peak.Set(queue_peak);
   // Locality-engine telemetry. Only touched in parallel mode so sim-mode
   // metric dumps (and their gated fingerprints) are byte-identical to
   // before the engine existed.

@@ -70,6 +70,8 @@ class Runtime {
   /// Writer allocations and `net.bytes_copied` the regrow copies performed
   /// since the previous sync. Benches and tests call this before reading
   /// either metric; both are deterministic under deterministic scheduling.
+  /// It also raises the `sched.queue_peak` max-gauge to the scheduler's
+  /// QueuePeak() and mirrors the locality engine's telemetry.
   void SyncSerialStats();
 
   /// Turns span recording on/off for every Core (existing and future).

@@ -61,14 +61,7 @@ void Formation::Enqueue(Message msg, Lane lane) {
 
 void Formation::Arm(const LaneKey& key, Queue& q, SimTime delay) {
   // fargolint: allow(capture-this) the owning Core outlives its formation; Discard cancels pending flushes on crash/teardown
-  q.timer = sched_.ScheduleAfter(delay, [this, key] {
-    // The timer has fired: clear it before flushing so Flush doesn't
-    // Cancel an already-executed task (Cancel tombstones would leak and
-    // skew the scheduler's pending count).
-    auto it = queues_.find(key);
-    if (it != queues_.end()) it->second.timer = 0;
-    Flush(key);
-  });
+  q.timer = sched_.ScheduleAfter(delay, [this, key] { Flush(key); });
 }
 
 void Formation::Flush(const LaneKey& key) {

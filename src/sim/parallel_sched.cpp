@@ -4,11 +4,8 @@
 #include <condition_variable>
 #include <limits>
 #include <mutex>
-#include <queue>
-#include <set>
 #include <string>
 #include <thread>
-#include <unordered_set>
 #include <vector>
 
 #include "src/common/value.h"  // FargoError
@@ -20,15 +17,42 @@ namespace {
 
 constexpr std::uint32_t kConductorRank = 0xFFFFFFFFu;
 
-// TaskId layout: [8b destination locality | 8b producer tag | 48b counter].
-// The destination routes Cancel; the producer tag + per-producer counter
-// make ids unique without shared state (tag 0 = conductor, i+1 = worker i).
-TaskId MakeId(int dest, unsigned producer_tag, std::uint64_t n) {
-  return (static_cast<TaskId>(dest) << 56) |
-         (static_cast<TaskId>(producer_tag & 0xFFu) << 48) |
-         (n & 0x0000FFFFFFFFFFFFull);
+// TaskId layout: [8b destination locality | 56b task]. The destination
+// routes Cancel. A task a locality queued for itself, or the conductor
+// reserved in its queue while staging it, is named by its EventQueue
+// handle (bit 55 clear). A task handed off by another locality gets its
+// id from the producer before the destination queue holds it: an
+// *alias*, bit 55 set, then an 8b producer tag (worker i + 1) and a 47b
+// per-producer counter, so ids are unique without shared state. The
+// destination stores the alias in the task's slot and resolves a cancel
+// by alias with a scan of its queue; such cancels are rare (the timers
+// that get cancelled are all local).
+constexpr TaskId kAliasBit = TaskId{1} << 55;
+constexpr TaskId kTaskMask = (TaskId{1} << 56) - 1;
+
+TaskId MakeAlias(int dest, unsigned producer_tag, std::uint64_t n) {
+  return (static_cast<TaskId>(dest) << 56) | kAliasBit |
+         (static_cast<TaskId>(producer_tag & 0xFFu) << 47) |
+         (n & ((TaskId{1} << 47) - 1));
 }
 int IdDest(TaskId id) { return static_cast<int>(id >> 56); }
+
+/// The TaskId of `dest`'s queue handle `h`.
+TaskId MakeHandleId(int dest, EventQueue::Handle h) {
+  if (h & ~(kTaskMask & ~kAliasBit))
+    throw FargoError("locality " + std::to_string(dest) +
+                     " event queue outgrew its TaskId slot bits");
+  return (static_cast<TaskId>(dest) << 56) | h;
+}
+
+/// Cancels the task `id` names in `q` (its destination's queue), if queued.
+void CancelIn(EventQueue& q, TaskId id) {
+  if (id & kAliasBit) {
+    if (const EventQueue::Handle h = q.FindAlias(id)) q.Cancel(h);
+    return;
+  }
+  q.Cancel(id & kTaskMask);
+}
 
 /// Routing context while a worker executes a round; null sched otherwise.
 struct WorkerCtx {
@@ -56,43 +80,22 @@ struct ParallelScheduler::Barrier {
 };
 
 struct ParallelScheduler::Locality {
-  struct Entry {
-    SimTime at;
-    std::uint64_t prio;  // local insertion order: same-time FIFO tiebreak
-    TaskId id;
-    bool barrier;
-    std::function<void()> fn;
-  };
-  struct Later {
-    bool operator()(const Entry& a, const Entry& b) const {
-      if (a.at != b.at) return a.at > b.at;
-      return a.prio > b.prio;
-    }
-  };
-
   explicit Locality(std::size_t cap) : inbox0(cap), inbox1(cap) {}
 
   HandoffQueue& inbox(unsigned parity) { return parity ? inbox1 : inbox0; }
 
-  void Push(SimTime at, TaskId id, bool barrier, std::function<void()> fn) {
-    if (barrier) barriers.insert(at);
-    queue.push(Entry{at, prio_seq++, id, barrier, std::move(fn)});
-  }
-  Entry Pop() {
-    Entry e = std::move(const_cast<Entry&>(queue.top()));
-    queue.pop();
-    if (e.barrier) barriers.erase(barriers.find(e.at));
-    return e;
+  /// Republishes the queue's head and earliest barrier (conductor, after
+  /// touching the queue between rounds).
+  void Publish() {
+    next_due = queue.empty() ? kNoDue : queue.top_at();
+    next_barrier = queue.next_barrier(kNoDue);
   }
 
   // -- worker-confined (the conductor touches these only while every
   // -- worker is parked; the barrier mutex is the happens-before edge) ----
-  std::priority_queue<Entry, std::vector<Entry>, Later> queue;
-  std::multiset<SimTime> barriers;  ///< due times of queued barrier tasks
-  std::unordered_set<TaskId> cancelled;
-  std::uint64_t prio_seq = 0;   ///< queue insertion order
+  EventQueue queue;
   std::uint64_t merge_seq = 0;  ///< producer stamp on outgoing handoffs
-  std::uint64_t id_seq = 1;     ///< TaskId counter (producer-private)
+  std::uint64_t alias_seq = 1;  ///< alias counter (producer-private)
   std::uint64_t handoffs = 0;   ///< cross-locality tasks sent
 
   // Ping-pong MPSC inboxes: producers fill inbox(round & 1) during round
@@ -101,10 +104,16 @@ struct ParallelScheduler::Locality {
   HandoffQueue inbox0;
   HandoffQueue inbox1;
 
-  // Conductor-side scheduling between pumps + cross-thread cancels.
+  // Conductor-side scheduling between pumps, and cancels from elsewhere.
+  // Cancels ping-pong like the inboxes: one made during round `round`
+  // goes to cancels(round & 1) and is applied next round, after the
+  // handoffs it may chase are merged.
   mutable std::mutex staging_mu;
   std::vector<HandoffQueue::Item> staged;
-  std::vector<TaskId> staged_cancels;
+  std::vector<TaskId> staged_cancels[2];
+  std::vector<TaskId>& cancels(std::uint64_t round) {
+    return staged_cancels[round & 1];
+  }
 
   // Round results, published at park under the barrier mutex.
   SimTime next_due = kNoDue;      ///< head of the queue
@@ -179,7 +188,7 @@ void ParallelScheduler::WorkerLoop(int idx) {
     {
       std::lock_guard<std::mutex> sl(self.staging_mu);
       batch.swap(self.staged);
-      cancels.swap(self.staged_cancels);
+      cancels.swap(self.cancels(seen + 1));
     }
     self.inbox((seen + 1) & 1).DrainInto(batch);
     std::sort(batch.begin(), batch.end(),
@@ -188,46 +197,35 @@ void ParallelScheduler::WorkerLoop(int idx) {
                 if (a.src != b.src) return a.src < b.src;
                 return a.seq < b.seq;
               });
-    for (auto& item : batch)
-      self.Push(item.at, item.id, item.barrier, std::move(item.fn));
-    for (TaskId id : cancels) self.cancelled.insert(id);
+    for (auto& item : batch) {
+      if (item.src == kConductorRank)
+        self.queue.Link(item.id & kTaskMask, item.at);
+      else
+        self.queue.Push(item.at, std::move(item.fn), item.barrier, item.id);
+    }
+    for (TaskId id : cancels) CancelIn(self.queue, id);
 
     // Execute everything due inside the window, in time order. Locally
     // scheduled work due inside it runs within this round (matching the
     // sim's run-to-completion); handoffs land in peers' inboxes for the
     // next round.
     try {
-      while (!self.queue.empty() && self.queue.top().at <= hi) {
-        Locality::Entry e = self.Pop();
-        if (auto it = self.cancelled.find(e.id);
-            it != self.cancelled.end()) {
-          self.cancelled.erase(it);
-          continue;
-        }
+      while (!self.queue.empty() && self.queue.top_at() <= hi) {
+        EventQueue::Task task = self.queue.Pop();
         ++exec;
-        tl_ctx.now = e.at;
-        tl_ctx.in_barrier = e.barrier;
-        self.last_run = e.at;
-        e.fn();
+        tl_ctx.now = task.at;
+        tl_ctx.in_barrier = task.barrier;
+        self.last_run = task.at;
+        task.fn();
       }
     } catch (...) {
       err = std::current_exception();
-    }
-    // Prune cancelled heads so next_due names a live event (a cancelled
-    // timestamp must not drag the global clock forward).
-    while (!self.queue.empty()) {
-      auto it = self.cancelled.find(self.queue.top().id);
-      if (it == self.cancelled.end()) break;
-      self.cancelled.erase(it);
-      self.Pop();
     }
     tl_ctx = WorkerCtx{};
 
     lk.lock();
     self.executed += exec;
-    self.next_due = self.queue.empty() ? kNoDue : self.queue.top().at;
-    self.next_barrier =
-        self.barriers.empty() ? kNoDue : *self.barriers.begin();
+    self.Publish();
     if (err && !self.error) self.error = err;
     if (++b.arrived == num_localities_) b.cv_done.notify_all();
   }
@@ -276,12 +274,10 @@ TaskId ParallelScheduler::WorkerEnqueue(int dest, SimTime t,
         std::to_string(tl_ctx.lo) + ", " + std::to_string(tl_ctx.hi) +
         "] (cross-locality work must be at least the lookahead away)");
   Locality& self = *locs_[static_cast<std::size_t>(tl_ctx.loc)];
+  if (dest == tl_ctx.loc)
+    return MakeHandleId(dest, self.queue.Push(t, std::move(fn), barrier));
   const TaskId id =
-      MakeId(dest, static_cast<unsigned>(tl_ctx.loc) + 1, self.id_seq++);
-  if (dest == tl_ctx.loc) {
-    self.Push(t, id, barrier, std::move(fn));
-    return id;
-  }
+      MakeAlias(dest, static_cast<unsigned>(tl_ctx.loc) + 1, self.alias_seq++);
   locs_[static_cast<std::size_t>(dest)]
       ->inbox(tl_ctx.round & 1)
       .Push(HandoffQueue::Item{t, static_cast<std::uint32_t>(tl_ctx.loc),
@@ -296,39 +292,71 @@ TaskId ParallelScheduler::WorkerEnqueue(int dest, SimTime t,
 TaskId ParallelScheduler::StageEnqueue(int dest, SimTime t,
                                        std::function<void()> fn,
                                        bool barrier) {
-  const TaskId id = MakeId(dest, 0, conductor_ids_++);
+  // Workers are parked: reserve the task's slot in its destination queue
+  // now, so its id is a real handle; the merge links it into the heap.
+  Locality& loc = *locs_[static_cast<std::size_t>(dest)];
+  const TaskId id =
+      MakeHandleId(dest, loc.queue.Reserve(std::move(fn), barrier));
   staged_due_ = std::min(staged_due_, t);
   if (barrier) staged_barrier_ = std::min(staged_barrier_, t);
-  Locality& loc = *locs_[static_cast<std::size_t>(dest)];
   std::lock_guard<std::mutex> sl(loc.staging_mu);
-  loc.staged.push_back(HandoffQueue::Item{t, kConductorRank, conductor_seq_++,
-                                          id, std::move(fn), barrier});
+  loc.staged.push_back(
+      HandoffQueue::Item{t, kConductorRank, conductor_seq_++, id, {}, barrier});
   return id;
 }
 
 void ParallelScheduler::Cancel(TaskId id) {
   const int dest = IdDest(id);
-  if (dest < 0 || dest >= num_localities_) return;
-  const bool worker = tl_ctx.sched == this;
-  if (worker && dest == tl_ctx.loc) {
-    locs_[static_cast<std::size_t>(dest)]->cancelled.insert(id);
+  if (dest >= num_localities_) return;
+  Locality& loc = *locs_[static_cast<std::size_t>(dest)];
+  if (tl_ctx.sched != this) {
+    // The conductor: every worker is parked, so cancel in place.
+    std::lock_guard<std::mutex> sl(loc.staging_mu);
+    auto it = std::find_if(
+        loc.staged.begin(), loc.staged.end(),
+        [id](const HandoffQueue::Item& item) { return item.id == id; });
+    if (it != loc.staged.end()) {  // staged, never merged
+      loc.queue.Cancel(id & kTaskMask);
+      loc.staged.erase(it);
+      RestageBounds();
+      return;
+    }
+    const std::size_t before = loc.queue.size();
+    CancelIn(loc.queue, id);
+    loc.Publish();
+    // A handoff still in an inbox (a predicate pump stopped mid-timestamp)
+    // is cancelled at its merge.
+    if (loc.queue.size() == before && (id & kAliasBit))
+      loc.cancels(barrier_->go_round).push_back(id);
     return;
   }
-  if (worker && tl_ctx.hi > tl_ctx.lo)
+  if (dest == tl_ctx.loc) {
+    CancelIn(loc.queue, id);
+    return;
+  }
+  if (tl_ctx.hi > tl_ctx.lo)
     throw FargoError("lookahead violation: locality " +
                      std::to_string(tl_ctx.loc) +
                      " cancelled a task of locality " + std::to_string(dest) +
                      " inside the window [" + std::to_string(tl_ctx.lo) +
                      ", " + std::to_string(tl_ctx.hi) + "]");
-  Locality& loc = *locs_[static_cast<std::size_t>(dest)];
+  // Another locality's task: it applies the cancel when it merges next
+  // round, after that round's handoffs (this one may chase one of them).
   {
     std::lock_guard<std::mutex> sl(loc.staging_mu);
-    loc.staged_cancels.push_back(id);
+    loc.cancels(tl_ctx.round).push_back(id);
   }
-  if (worker)
-    locs_[static_cast<std::size_t>(tl_ctx.loc)]->again = true;
-  else
-    staged_cancels_ = true;
+  locs_[static_cast<std::size_t>(tl_ctx.loc)]->again = true;
+}
+
+void ParallelScheduler::RestageBounds() {
+  staged_due_ = kNoDue;
+  staged_barrier_ = kNoDue;
+  for (const auto& l : locs_)
+    for (const auto& item : l->staged) {
+      staged_due_ = std::min(staged_due_, item.at);
+      if (item.barrier) staged_barrier_ = std::min(staged_barrier_, item.at);
+    }
 }
 
 bool ParallelScheduler::RunRounds(SimTime lo, SimTime hi,
@@ -357,7 +385,6 @@ bool ParallelScheduler::RunRounds(SimTime lo, SimTime hi,
     ++rounds_;
     staged_due_ = kNoDue;
     staged_barrier_ = kNoDue;
-    staged_cancels_ = false;
     if (err) std::rethrow_exception(err);
     if (pred && (*pred)()) return true;
     if (!again) return false;
@@ -365,9 +392,6 @@ bool ParallelScheduler::RunRounds(SimTime lo, SimTime hi,
 }
 
 SimTime ParallelScheduler::NextDue() const {
-  // Conductor cancels are merged by a round at the current clock first,
-  // so the due time that follows names a live event (as the sim's would).
-  if (staged_cancels_) return now_;
   SimTime m = staged_due_;
   for (const auto& l : locs_) m = std::min({m, l->next_due, l->sent_due});
   return m;
@@ -401,7 +425,9 @@ bool ParallelScheduler::RunOne() {
     const SimTime due = NextDue();
     if (due == kNoDue) return false;
     if (due > now_) now_ = due;
-    RunRounds(now_, now_, nullptr);  // a cancelled-only timestamp loops
+    // A round can run nothing when a worker's cross-locality cancel
+    // removed its only task at merge; then try the next timestamp.
+    RunRounds(now_, now_, nullptr);
   }
   return true;
 }
@@ -456,9 +482,7 @@ void ParallelScheduler::RunFor(SimTime d) {
 std::size_t ParallelScheduler::PendingCount() const {
   std::size_t total = 0;
   for (const auto& l : locs_) {
-    const std::size_t q = l->queue.size();
-    const std::size_t c = l->cancelled.size();
-    total += q > c ? q - c : 0;
+    total += l->queue.size();
     {
       std::lock_guard<std::mutex> sl(l->staging_mu);
       total += l->staged.size();
@@ -478,13 +502,12 @@ void ParallelScheduler::Clear() {
     {
       std::lock_guard<std::mutex> sl(l->staging_mu);
       l->staged.clear();
-      l->staged_cancels.clear();
+      l->cancels(0).clear();
+      l->cancels(1).clear();
     }
     l->inbox0.DrainInto(discard);
     l->inbox1.DrainInto(discard);
-    l->queue = {};
-    l->barriers.clear();
-    l->cancelled.clear();
+    l->queue.Clear();
     l->next_due = kNoDue;
     l->next_barrier = kNoDue;
     l->sent_due = kNoDue;
@@ -492,10 +515,15 @@ void ParallelScheduler::Clear() {
   }
   staged_due_ = kNoDue;
   staged_barrier_ = kNoDue;
-  staged_cancels_ = false;
 }
 
 std::uint64_t ParallelScheduler::executed() const { return ExecutedLocked(); }
+
+std::size_t ParallelScheduler::QueuePeak() const {
+  std::size_t peak = 0;
+  for (const auto& l : locs_) peak = std::max(peak, l->queue.peak());
+  return peak;
+}
 
 ParallelScheduler::Telemetry ParallelScheduler::telemetry() const {
   Telemetry t;

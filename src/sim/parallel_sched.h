@@ -9,12 +9,23 @@
 //    benches) picks the earliest pending timestamp `t` and releases the
 //    workers for one barrier-synchronized *round* over a window of virtual
 //    time [t, hi].
-//  - During a round each worker drains its own priority queue of events due
-//    at or before `hi`, in time order; on a worker, Now() is the time of
-//    the task it is executing. A continuation targeting another Core's
-//    ownership domain is never run in place: it is handed off to the owning
-//    locality through a bounded MPSC inbox (handoff.h) and merged at the
-//    start of the next round.
+//  - During a round each worker drains its own event queue (event_queue.h,
+//    the one SimScheduler runs on) of events due at or before `hi`, in
+//    time order; on a worker, Now() is the time of the task it is
+//    executing. A continuation targeting another Core's ownership domain
+//    is never run in place: it is handed off to the owning locality through
+//    a bounded MPSC inbox (handoff.h) and merged at the start of the next
+//    round.
+//  - Cancel removes a task from its queue at once, with no tombstone. A
+//    task a locality queued for itself (RPC, formation, expiry and
+//    route-wait timers: the hot case) is named by its queue handle, and
+//    so is conductor-staged work, whose slot the conductor reserves while
+//    the workers are parked; the merge links it into the heap. Only
+//    handoffs carry a producer-minted alias, which the destination
+//    resolves by scanning its queue (rare: cancelled timers are local).
+//    The conductor cancels in place while the workers are parked; a
+//    worker cancelling another locality's task stages the cancel, and
+//    the owner applies it when it next merges.
 //  - Every cross-locality task is a network delivery, due no earlier than
 //    the sender's Now() + the minimum inter-Core link latency L (the
 //    *lookahead*, SetLookahead). So RunFor and RunUntilIdle run windows
@@ -30,10 +41,11 @@
 //    the predicate pumps (RunUntil, RunUntilOr, RunOne), so "pump, then
 //    assert" stops exactly where the sim engine stops.
 //  - A round has a successor at the same horizon only if a locality handed
-//    off a task due inside it or staged a cancel; later handoffs are folded
-//    into the next window's start through each locality's published
-//    earliest handoff. An event scheduled for time T runs at Now() == T,
-//    never early, never late — the sim engine's virtual-time semantics.
+//    off a task due inside it or staged a cross-locality cancel; later
+//    handoffs are folded into the next window's start through each
+//    locality's published earliest handoff. An event scheduled for time T
+//    runs at Now() == T, never early, never late — the sim engine's
+//    virtual-time semantics.
 //
 // Determinism: each locality's inbox is drained in sorted
 // (time, source-locality, source-seq) order, every producer stamps a
@@ -93,7 +105,10 @@ class ParallelScheduler final : public Scheduler {
   bool RunUntilOr(const std::function<bool()>& pred,
                   SimTime deadline) override;
   void RunFor(SimTime d) override;
+  /// Queued, staged and handed-off tasks. A cancel a worker addressed to
+  /// another locality counts its task until that locality next merges.
   std::size_t PendingCount() const override;
+  std::size_t QueuePeak() const override;
   void Clear() override;
   std::uint64_t executed() const override;
   int localities() const override { return num_localities_; }
@@ -129,14 +144,16 @@ class ParallelScheduler final : public Scheduler {
   /// true the moment it holds.
   bool RunRounds(SimTime lo, SimTime hi, const std::function<bool()>* pred);
   /// Earliest due time across locality queues, handoffs in flight and
-  /// conductor staging (kNoDue when drained); the current clock while
-  /// conductor cancels wait to be merged.
+  /// conductor staging (kNoDue when drained).
   SimTime NextDue() const;
   /// Earliest barrier task, same sources.
   SimTime NextBarrier() const;
   /// End of the lookahead window opening at `lo` (≤ `limit`).
   SimTime WindowEnd(SimTime lo, SimTime limit) const;
   std::uint64_t ExecutedLocked() const;
+  /// Recomputes staged_due_/staged_barrier_ after a staged task is
+  /// cancelled.
+  void RestageBounds();
 
   const int num_localities_;
   const std::size_t handoff_capacity_;
@@ -150,12 +167,10 @@ class ParallelScheduler final : public Scheduler {
   struct Barrier;
   std::unique_ptr<Barrier> barrier_;
   bool started_ = false;
-  std::uint64_t conductor_ids_ = 1;  ///< conductor-minted TaskId counter
   std::uint64_t conductor_seq_ = 0;  ///< conductor merge-key counter
   // Conductor staging since the last round (every round merges it all).
   SimTime staged_due_ = kNoDue;
   SimTime staged_barrier_ = kNoDue;
-  bool staged_cancels_ = false;
   std::uint64_t rounds_ = 0;
 };
 

@@ -31,54 +31,33 @@ Scheduler::PumpGuard::PumpGuard(Scheduler& s) : sched_(s) {
 
 TaskId SimScheduler::ScheduleAt(SimTime t, std::function<void()> fn) {
   if (t < now_) t = now_;
-  TaskId id = next_id_++;
-  queue_.push(Entry{t, next_seq_++, id, std::move(fn)});
-  return id;
+  return queue_.Push(t, std::move(fn));
 }
 
-bool SimScheduler::PopDue(SimTime limit, Entry& out) {
-  while (!queue_.empty()) {
-    if (queue_.top().at > limit) return false;
-    out = std::move(const_cast<Entry&>(queue_.top()));
-    queue_.pop();
-    if (auto it = cancelled_.find(out.id); it != cancelled_.end()) {
-      cancelled_.erase(it);
-      continue;
-    }
-    return true;
-  }
-  return false;
-}
-
-bool SimScheduler::RunOneLocked() {
-  Entry e;
-  if (!PopDue(std::numeric_limits<SimTime>::max(), e)) return false;
-  now_ = std::max(now_, e.at);
+bool SimScheduler::RunDue(SimTime limit) {
+  if (queue_.empty() || queue_.top_at() > limit) return false;
+  EventQueue::Task task = queue_.Pop();
+  now_ = std::max(now_, task.at);
   ++executed_;
-  e.fn();
+  task.fn();
   return true;
 }
 
 bool SimScheduler::RunOne() {
   PumpGuard guard(*this);
-  return RunOneLocked();
+  return RunDue(std::numeric_limits<SimTime>::max());
 }
 
 void SimScheduler::RunUntilIdle() {
   PumpGuard guard(*this);
-  while (RunOneLocked()) {
+  while (RunDue(std::numeric_limits<SimTime>::max())) {
   }
-}
-
-void SimScheduler::Clear() {
-  queue_ = {};
-  cancelled_.clear();
 }
 
 void SimScheduler::RunUntil(const std::function<bool()>& pred) {
   PumpGuard guard(*this);
   while (!pred()) {
-    if (!RunOneLocked())
+    if (!RunDue(std::numeric_limits<SimTime>::max()))
       throw FargoError("scheduler drained while awaiting a condition "
                        "(lost message or dead peer?)");
   }
@@ -88,15 +67,11 @@ bool SimScheduler::RunUntilOr(const std::function<bool()>& pred,
                               SimTime deadline) {
   PumpGuard guard(*this);
   while (!pred()) {
-    Entry e;
-    if (!PopDue(deadline, e)) {
+    if (!RunDue(deadline)) {
       // No more events before the deadline: advance to it and give up.
       now_ = std::max(now_, deadline);
       return pred();
     }
-    now_ = std::max(now_, e.at);
-    ++executed_;
-    e.fn();
   }
   return true;
 }
@@ -104,11 +79,7 @@ bool SimScheduler::RunUntilOr(const std::function<bool()>& pred,
 void SimScheduler::RunFor(SimTime d) {
   PumpGuard guard(*this);
   const SimTime limit = now_ + d;
-  Entry e;
-  while (PopDue(limit, e)) {
-    now_ = std::max(now_, e.at);
-    ++executed_;
-    e.fn();
+  while (RunDue(limit)) {
   }
   now_ = limit;
 }

@@ -7,8 +7,8 @@
 // `Scheduler` is the engine interface; two implementations exist:
 //
 //  - `SimScheduler` (this file): the single-threaded deterministic pump.
-//    Default for tests, benches and CI — one priority queue, FIFO seq
-//    tiebreak, bit-identical runs.
+//    Default for tests, benches and CI — one indexed event queue
+//    (event_queue.h), FIFO seq tiebreak, bit-identical runs.
 //  - `ParallelScheduler` (parallel_sched.h): N locality worker threads in
 //    conservative time-stepped rounds, selected by `FARGO_PARALLEL=N`.
 //    Same virtual-time semantics, same observable results (DESIGN.md
@@ -27,15 +27,15 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <queue>
-#include <unordered_set>
-#include <vector>
 
 #include "src/common/time.h"
+#include "src/sim/event_queue.h"
 
 namespace fargo::sim {
 
-/// Handle used to cancel a scheduled task.
+/// Handle used to cancel a scheduled task: generation-checked, so it names
+/// its task only while that task is pending (event_queue.h). 0 never names
+/// a task.
 using TaskId = std::uint64_t;
 
 namespace detail {
@@ -94,7 +94,8 @@ class Scheduler {
     return Post(affinity, Now() + delay, std::move(fn));
   }
 
-  /// Cancels a pending task; no-op if it already ran or was cancelled.
+  /// Cancels a pending task and destroys its closure at once; a no-op if
+  /// it already ran, was already cancelled, or `id` is stale.
   virtual void Cancel(TaskId id) = 0;
 
   /// Executes the next due event, advancing the clock. Returns false when
@@ -117,8 +118,13 @@ class Scheduler {
   /// Runs all events due up to Now()+d, then advances the clock to it.
   virtual void RunFor(SimTime d) = 0;
 
-  /// Number of pending (non-cancelled) events.
+  /// Number of pending events (cancelled ones are gone from the queue).
   virtual std::size_t PendingCount() const = 0;
+
+  /// The most tasks one event queue has held at once (mirrored into the
+  /// `sched.queue_peak` max-gauge by Runtime). The parallel engine reports
+  /// its fullest locality queue.
+  virtual std::size_t QueuePeak() const = 0;
 
   /// Discards every pending event without running it. Used at runtime
   /// teardown: queued closures may hold references into Cores, so they
@@ -219,7 +225,7 @@ class Scheduler {
   std::function<void(int)> pump_observer_;
 };
 
-/// The single-threaded deterministic pump: one priority queue ordered by
+/// The single-threaded deterministic pump: one event queue ordered by
 /// (time, FIFO seq). The default engine for tests, benches and CI.
 // fargo: domain(sim)
 class SimScheduler final : public Scheduler {
@@ -228,42 +234,25 @@ class SimScheduler final : public Scheduler {
 
   SimTime Now() const override { return now_; }
   TaskId ScheduleAt(SimTime t, std::function<void()> fn) override;
-  void Cancel(TaskId id) override { cancelled_.insert(id); }
+  void Cancel(TaskId id) override { queue_.Cancel(id); }
   bool RunOne() override;
   void RunUntilIdle() override;
   void RunUntil(const std::function<bool()>& pred) override;
   bool RunUntilOr(const std::function<bool()>& pred,
                   SimTime deadline) override;
   void RunFor(SimTime d) override;
-  std::size_t PendingCount() const override {
-    return queue_.size() - cancelled_.size();
-  }
-  void Clear() override;
+  std::size_t PendingCount() const override { return queue_.size(); }
+  std::size_t QueuePeak() const override { return queue_.peak(); }
+  void Clear() override { queue_.Clear(); }
   std::uint64_t executed() const override { return executed_; }
 
  private:
-  struct Entry {
-    SimTime at;
-    std::uint64_t seq;  // FIFO tiebreak for same-time events (determinism)
-    TaskId id;
-    std::function<void()> fn;
-  };
-  struct Later {
-    bool operator()(const Entry& a, const Entry& b) const {
-      if (a.at != b.at) return a.at > b.at;
-      return a.seq > b.seq;
-    }
-  };
-
-  bool PopDue(SimTime limit, Entry& out);
-  bool RunOneLocked();  ///< RunOne body, called under an active PumpGuard
+  /// Runs the head task if it is due by `limit`; false otherwise.
+  bool RunDue(SimTime limit);
 
   SimTime now_ = 0;
-  std::uint64_t next_seq_ = 0;
-  TaskId next_id_ = 1;
   std::uint64_t executed_ = 0;
-  std::priority_queue<Entry, std::vector<Entry>, Later> queue_;
-  std::unordered_set<TaskId> cancelled_;
+  EventQueue queue_;
 };
 
 /// A self-rescheduling task; used by continuous profiling, heartbeats and

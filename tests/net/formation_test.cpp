@@ -55,10 +55,10 @@ class FormationTest : public ::testing::Test {
     Message msg;
     SimTime at = 0;
   };
+  CoreId a{1}, b{2};  // before `formation`, which is built from `a`
   sim::SimScheduler sched;
   Network net;
   Formation formation;
-  CoreId a{1}, b{2};
   std::vector<Seen> arrivals;
   std::vector<Seen> sends;
 };
@@ -233,8 +233,7 @@ TEST_F(FormationTest, DiscardDropsQueuedTrafficAndTimersCleanly) {
   EXPECT_EQ(formation.queued(), 0u);
   sched.RunUntilIdle();
   EXPECT_TRUE(sends.empty()) << "discarded traffic leaked onto the wire";
-  // The cancelled flush timer must not corrupt the scheduler's accounting
-  // (a Cancel after firing would leak a tombstone).
+  // The cancelled flush timer left the scheduler's queue at once.
   EXPECT_EQ(sched.PendingCount(), 0u);
 }
 

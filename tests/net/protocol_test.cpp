@@ -3,6 +3,8 @@
 // verified message by message.
 #include <gtest/gtest.h>
 
+#include <atomic>
+
 #include "src/core/wire.h"
 #include "src/net/formation.h"
 #include "src/serial/frame.h"
@@ -127,7 +129,9 @@ TEST_F(ProtocolTest, HomeRegistryAddsOneAsyncUpdatePerRemoteArrival) {
 
 TEST_F(ProtocolTest, EventNotificationIsOneMessagePerRemoteListener) {
   auto cores = MakeCores(3);
-  int fired = 0;
+  // Atomic: under FARGO_PARALLEL the two listeners' Cores live on
+  // different localities and fire at the same virtual time.
+  std::atomic<int> fired{0};
   cores[1]->ListenAt(cores[0]->id(), monitor::EventKind::kComletArrived,
                      [&](const monitor::Event&) { ++fired; });
   cores[2]->ListenAt(cores[0]->id(), monitor::EventKind::kComletArrived,

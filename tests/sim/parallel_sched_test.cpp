@@ -388,5 +388,88 @@ TEST(ParallelSchedulerTest, OneLocalityTimestampCostsOneRound) {
   EXPECT_EQ(sched.Now(), 20);
 }
 
+// ---------------------------------------------------------------------------
+// Eager cancel across localities: ids minted outside the owning locality
+// (conductor staging, handoffs) still reach their task.
+// ---------------------------------------------------------------------------
+
+TEST(ParallelSchedulerTest, WorkersCancelTasksStagedByTheConductor) {
+  ParallelScheduler sched(2);
+  std::atomic<int> ran{0};
+  const TaskId far = sched.Post(1, 100, [&] { ran.fetch_add(1); });
+  const TaskId near = sched.Post(1, 100, [&] { ran.fetch_add(1); });
+  sched.Post(0, 10, [&sched, far] { sched.Cancel(far); });   // other locality
+  sched.Post(1, 10, [&sched, near] { sched.Cancel(near); });  // its own
+  sched.RunUntilIdle();
+  EXPECT_EQ(ran.load(), 0);
+  EXPECT_EQ(sched.PendingCount(), 0u);
+  EXPECT_EQ(sched.Now(), 10);  // the cancelled tasks never ran at 100
+}
+
+TEST(ParallelSchedulerTest, WorkersCancelHandedOffTasks) {
+  ParallelScheduler sched(2);
+  std::atomic<int> ran{0};
+  TaskId by_sender = 0;
+  TaskId by_owner = 0;
+  sched.Post(0, 10, [&] {
+    by_sender = sched.Post(1, 100, [&] { ran.fetch_add(1); });
+    by_owner = sched.Post(1, 100, [&] { ran.fetch_add(1); });
+  });
+  sched.RunFor(5);
+  sched.Post(0, 20, [&] { sched.Cancel(by_sender); });
+  sched.Post(1, 20, [&] { sched.Cancel(by_owner); });
+  sched.RunUntilIdle();
+  EXPECT_EQ(ran.load(), 0);
+  EXPECT_EQ(sched.PendingCount(), 0u);
+  EXPECT_EQ(sched.Now(), 20);
+}
+
+TEST(ParallelSchedulerTest, ConductorCancelsAHandoffStillInAnInbox) {
+  // A predicate pump may stop while a handoff sits in an inbox; a cancel
+  // from the conductor must still catch it at the merge.
+  ParallelScheduler sched(2);
+  std::atomic<bool> sent{false};
+  std::atomic<int> ran{0};
+  TaskId handoff = 0;
+  sched.Post(0, 10, [&] {
+    handoff = sched.Post(1, 50, [&] { ran.fetch_add(1); });
+    sent.store(true);
+  });
+  sched.RunUntil([&] { return sent.load(); });
+  EXPECT_EQ(sched.PendingCount(), 1u);
+  sched.Cancel(handoff);
+  sched.RunUntilIdle();
+  EXPECT_EQ(ran.load(), 0);
+  EXPECT_EQ(sched.PendingCount(), 0u);
+}
+
+TEST(ParallelSchedulerTest, CancelledBarrierTaskNoLongerCapsTheWindow) {
+  ParallelScheduler sched(2);
+  sched.SetLookahead([] { return SimTime{100}; });
+  std::atomic<int> ran{0};
+  auto bump = [&] { ran.fetch_add(1); };
+  // Queued barrier: merged into locality 0 by the round at 10.
+  sched.Post(1, 10, bump);
+  const TaskId queued = sched.ScheduleAt(60, bump);
+  sched.Post(1, 50, bump);
+  sched.Post(1, 90, bump);
+  sched.RunUntil([&] { return ran.load() == 1; });
+  EXPECT_EQ(sched.telemetry().rounds, 1u);
+  sched.Cancel(queued);
+  sched.RunUntilIdle();
+  EXPECT_EQ(ran.load(), 3);
+  // One window [50, 149]; a barrier left at 60 would split it in three.
+  EXPECT_EQ(sched.telemetry().rounds, 2u);
+
+  // Staged barrier, cancelled before any round merged it.
+  const TaskId staged = sched.ScheduleAt(200, bump);
+  sched.Post(1, 160, bump);
+  sched.Post(1, 240, bump);
+  sched.Cancel(staged);
+  sched.RunUntilIdle();
+  EXPECT_EQ(ran.load(), 5);
+  EXPECT_EQ(sched.telemetry().rounds, 3u);  // one window [160, 259]
+}
+
 }  // namespace
 }  // namespace fargo::sim
