@@ -1,5 +1,6 @@
 // E9 (ablation, §7 future work): tracker chains vs the location-independent
-// home-registry naming scheme.
+// home-registry naming scheme, which is the directory plane's one-owner
+// shard map (Runtime::EnableDirectory({home})).
 //
 // The paper tracks moving complets with chains and names "a global
 // location-independent naming scheme" as future work ("an alternative to
@@ -20,7 +21,7 @@ void MoveOverheadTable(Report& report) {
   TableHeader({"scheme", "msgs per move", "move (sim ms)"});
   for (bool home : {false, true}) {
     World w(3);
-    w.rt.EnableHomeRegistry(home);
+    if (home) w.rt.EnableDirectory({w[1].id()});
     auto msg = w[1].New<Message>("m");  // home is core1
     w.rt.network().ResetStats();
     const SimTime t0 = w.rt.Now();
@@ -51,8 +52,8 @@ void StaleResolutionTable(Report& report) {
   for (bool home : {false, true}) {
     for (int n : {2, 8, 16}) {
       World w(n + 2);
-      w.rt.EnableHomeRegistry(home);
-      auto beta = w[0].New<Message>("beta");
+      if (home) w.rt.EnableDirectory({w[0].id()});
+      auto beta = w[0].New<Message>("beta");  // home is core0
       auto observer =
           w[static_cast<std::size_t>(n + 1)].RefTo<Message>(beta.handle());
       for (int i = 0; i < n; ++i)
@@ -64,8 +65,10 @@ void StaleResolutionTable(Report& report) {
       // registry-based runtime would use for cold references.
       SimTime t0 = w.rt.Now();
       if (home) {
-        CoreId where = oc.LocateViaHome(beta.target());
-        oc.trackers().SetForward(beta.target(), where, "test.Message");
+        const core::wire::DirectoryHint where =
+            sim::Await(oc.directory().LookupAsync(beta.target()));
+        oc.trackers().SetForward(beta.target(), where.location,
+                                 "test.Message");
       }
       core::InvokeResult r =
           oc.invocation().Invoke(observer.handle(), "text", {});
@@ -91,8 +94,8 @@ void CrashSurvivalTable(Report& report) {
   TableHeader({"scheme", "outcome", "recovery (sim ms)"});
   for (bool home : {false, true}) {
     World w(4);
-    w.rt.EnableHomeRegistry(home);
-    auto beta = w[0].New<Message>("beta");
+    if (home) w.rt.EnableDirectory({w[0].id()});
+    auto beta = w[0].New<Message>("beta");  // home is core0
     w[0].Move(beta, w[1].id());
     auto observer = w[3].RefTo<Message>(beta.handle());
     observer.Call("print");  // observer -> core1, directly

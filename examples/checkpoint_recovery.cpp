@@ -51,10 +51,12 @@ const bool kReg = serial::RegisterType<OrderBook>();
 int main() {
   (void)kReg;
   core::Runtime rt;
-  rt.EnableHomeRegistry(true);  // location-independent naming (§7)
   core::Core& registry = rt.CreateCore("registry");  // clients + homes here
   core::Core& primary = rt.CreateCore("primary");
   core::Core& standby = rt.CreateCore("standby");
+  // Location-independent naming (§7): the home registry is a one-owner
+  // shard map.
+  rt.EnableDirectory({registry.id()});
   rt.network().SetDefaultLink({fargo::Millis(10), 1.25e6, true});
 
   std::printf("== FarGo checkpoint & crash recovery ==\n");

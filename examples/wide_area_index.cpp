@@ -160,8 +160,8 @@ const char* kShardData[] = {
 int main() {
   (void)kReg;
   core::Runtime rt;
-  rt.EnableHomeRegistry(true);
   core::Core& hq = rt.CreateCore("hq");
+  rt.EnableDirectory({hq.id()});  // hq is every complet's home registry
   std::vector<core::Core*> sites;
   for (int i = 0; i < 3; ++i)
     sites.push_back(&rt.CreateCore("site" + std::to_string(i)));

@@ -321,8 +321,22 @@ Value Core::DispatchLocal(ComletId target, std::string_view method,
     CoreId dest{static_cast<std::uint32_t>(args.at(0).AsInt())};
     std::string continuation = args.at(1).AsString();
     std::vector<Value> cont_args = args.at(2).AsList();
-    movement_->MoveLocal(target, dest, std::move(continuation),
-                         std::move(cont_args));
+    // Only a local one-way Post lands here (two-way and routed moves take
+    // the invocation unit's async move paths). Dispatch runs inside a
+    // scheduled task, so it must not wait: the move settles on its own and
+    // a rollback is logged like any failed one-way.
+    movement_
+        ->MoveLocalAsync(target, dest, std::move(continuation),
+                         std::move(cont_args))
+        .OnSettle([target](sim::Future<sim::Unit> f) {
+          if (f.ok()) return;
+          try {
+            f.Take();
+          } catch (const std::exception& e) {
+            LogWarn() << "one-way move of " << ToString(target)
+                      << " failed: " << e.what();
+          }
+        });
     return Value();
   }
   if (method == kMethodsMethod) {
@@ -959,18 +973,6 @@ std::vector<CoreId> Core::RemoteSubscriptionPeers() const {
   for (const auto& [token, sub] : remote_subs_)
     if (sub.where.valid() && sub.where != id_) peers.insert(sub.where);
   return {peers.begin(), peers.end()};
-}
-
-CoreId Core::LocateViaHome(ComletId id) {
-  return sim::Await(LocateViaHomeAsync(id));
-}
-
-sim::Future<CoreId> Core::LocateViaHomeAsync(ComletId id) {
-  sim::Scheduler::AffinityScope aff(id_.value);
-  if (!id.valid() || !directory_->enabled())
-    return sim::MakeReadyFuture(scheduler(), CoreId{});
-  return directory_->LookupAsync(id).Then(
-      [](wire::DirectoryHint& h) { return h.found ? h.location : CoreId{}; });
 }
 
 void Core::Crash() {

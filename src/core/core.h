@@ -192,7 +192,7 @@ class Core {
 
   /// Abrupt failure (fault injection): detaches immediately — no event, no
   /// evacuation window, no forwarding flush. Chains through this Core are
-  /// severed; only the home registry (Runtime::EnableHomeRegistry) can
+  /// severed; only the directory plane (Runtime::EnableDirectory) can
   /// recover routes afterwards.
   void Crash();
 
@@ -215,15 +215,6 @@ class Core {
   /// Bumped by every Crash(). Continuations that straddle a write barrier
   /// capture this and bail out if the Core restarted underneath them.
   std::uint64_t restart_epoch() const { return restart_epoch_; }
-
-  /// Location-independent naming (§7 future work): asks the complet's home
-  /// shard (its origin Core under the legacy registry configuration) for
-  /// its current location. Returns an invalid CoreId if the directory
-  /// doesn't know (or the plane is disabled).
-  CoreId LocateViaHome(ComletId id);
-  /// Continuation form of LocateViaHome, usable from inside the async
-  /// invocation pipeline (which must never pump the scheduler).
-  sim::Future<CoreId> LocateViaHomeAsync(ComletId id);
 
   // -- introspection -------------------------------------------------------------
   std::vector<ComletId> ComletsHere() const { return repository_.All(); }

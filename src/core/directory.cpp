@@ -12,30 +12,14 @@
 
 namespace fargo::core {
 
-DirectoryMode Directory::mode() const {
-  if (&shard_map() == &adopted_) return DirectoryMode::kSharded;
-  return core_.runtime().directory_mode();
-}
-
 const ShardMap& Directory::shard_map() const {
   const ShardMap& global = core_.runtime().shard_map();
   return adopted_.version > global.version ? adopted_ : global;
 }
 
 CoreId Directory::OwnerOf(ComletId id) const {
-  switch (mode()) {
-    case DirectoryMode::kDisabled:
-      return CoreId{};
-    case DirectoryMode::kOrigin:
-      // The 1-shard-per-origin configuration: every complet's home shard is
-      // its origin Core — exactly the legacy home registry (§7).
-      return id.origin;
-    case DirectoryMode::kSharded: {
-      const ShardMap& map = shard_map();
-      return map.valid() ? map.OwnerOf(id) : CoreId{};
-    }
-  }
-  return CoreId{};
+  const ShardMap& map = shard_map();
+  return map.valid() ? map.OwnerOf(id) : CoreId{};
 }
 
 void Directory::Publish(ComletId id, CoreId location, std::uint64_t epoch) {
@@ -61,6 +45,7 @@ void Directory::Publish(ComletId id, CoreId location, std::uint64_t epoch) {
 }
 
 sim::Future<wire::DirectoryHint> Directory::LookupAsync(ComletId id) {
+  sim::Scheduler::AffinityScope aff(core_.id().value);
   if (!id.valid())
     return sim::MakeReadyFuture(core_.scheduler(), wire::DirectoryHint{});
   const CoreId owner = OwnerOf(id);

@@ -8,13 +8,10 @@
 // ownership is a versioned consistent-hash map (src/core/shard_map.h)
 // distributed as kDirectoryMap payloads.
 //
-// Modes:
-//   kDisabled  no directory: tracker chains are the only routing state
-//              (severed chains stay severed — the paper's base system).
-//   kOrigin    one shard per origin Core: the legacy "home registry" of
-//              §7, expressed as the 1-shard-per-origin configuration.
-//   kSharded   consistent-hash ring over an explicit owner set
-//              (Runtime::EnableDirectory).
+// The shard map is the only switch. With no map the plane is off and
+// tracker chains are the only routing state (severed chains stay severed —
+// the paper's base system). With one (Runtime::EnableDirectory) every
+// complet has a home shard; the §7 "home registry" is the one-owner map.
 #pragma once
 
 #include <cstdint>
@@ -31,8 +28,6 @@ namespace fargo::core {
 
 class Core;
 
-enum class DirectoryMode { kDisabled, kOrigin, kSharded };
-
 /// One shard-side location record.
 struct DirEntry {
   CoreId location;
@@ -45,10 +40,10 @@ class Directory {
  public:
   explicit Directory(Core& core) : core_(core) {}
 
-  /// The Runtime's mode, except that a shard map adopted off the wire
-  /// (newer than the Runtime's) switches this Core to sharded routing.
-  DirectoryMode mode() const;
-  bool enabled() const { return mode() != DirectoryMode::kDisabled; }
+  /// True when this Core routes by a shard map (its own adopted one or the
+  /// Runtime's): the one predicate for bounded-hop routing, publishing and
+  /// the crash fallback.
+  bool enabled() const { return shard_map().valid(); }
 
   /// The shard map this Core routes by: the higher version of the one it
   /// adopted off the wire and the Runtime's (which only the conductor

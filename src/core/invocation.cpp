@@ -44,15 +44,15 @@ sim::Future<InvokeResult> InvocationUnit::InvokeAsync(
     std::vector<Value> args) {
   sim::Scheduler::AffinityScope aff(core_.id().value);
   const std::string m(method);
-  // Without the home registry the fallback below could never produce a
-  // better route (LocateViaHomeAsync answers "unknown"), so don't pay for
-  // it: the arguments move straight into the call record instead of being
-  // cloned into a rescue lambda on every invocation.
-  if (!core_.runtime().home_registry_enabled())
+  // Without a shard map the fallback below could never produce a better
+  // route (the lookup answers "unknown"), so don't pay for it: the
+  // arguments move straight into the call record instead of being cloned
+  // into a rescue lambda on every invocation.
+  if (!core_.directory().enabled())
     return StartCall(handle, m, std::move(args));
   sim::Future<InvokeResult> first = StartCall(handle, m, args);
-  // Home-registry fallback (§7 future work): on a severed chain, ask the
-  // target's home Core for a fresh route and retry once — safe because
+  // Directory fallback (§7 future work): on a severed chain, ask the
+  // target's home shard for a fresh route and retry once — safe because
   // UnreachableError means the request never executed.
   return first.OrElse(
       // fargolint: allow(capture-this) the unit lives inside its Core, which outlives the cleared event queue
@@ -67,21 +67,23 @@ sim::Future<InvokeResult> InvocationUnit::InvokeAsync(
         TrackerEntry* entry = core_.trackers().Find(handle.id);
         if (entry != nullptr && entry->is_local())
           std::rethrow_exception(e);  // can't improve
-        return core_.LocateViaHomeAsync(handle.id)
-            .OrElse([id = handle.id](std::exception_ptr) -> CoreId {
-              throw UnreachableError("home registry of " + ToString(id) +
+        return core_.directory()
+            .LookupAsync(handle.id)
+            .OrElse([id = handle.id](
+                        std::exception_ptr) -> wire::DirectoryHint {
+              throw UnreachableError("home shard of " + ToString(id) +
                                      " is unreachable too");
             })
             // fargolint: allow(capture-this) the unit lives inside its Core, which outlives the cleared event queue
-            .Then([this, handle, m, args,
-                   e](CoreId home_route) -> sim::Future<InvokeResult> {
-              if (!home_route.valid() || home_route == core_.id())
+            .Then([this, handle, m, args, e](const wire::DirectoryHint& hint)
+                      -> sim::Future<InvokeResult> {
+              if (!hint.found || hint.location == core_.id())
                 std::rethrow_exception(e);
               TrackerEntry* entry = core_.trackers().Find(handle.id);
               if (entry != nullptr && !entry->is_local() &&
-                  entry->next == home_route)
+                  entry->next == hint.location)
                 std::rethrow_exception(e);  // no better route than what failed
-              core_.trackers().SetForward(handle.id, home_route,
+              core_.trackers().SetForward(handle.id, hint.location,
                                           handle.anchor_type);
               return StartCall(handle, m, args);
             });
@@ -555,12 +557,12 @@ void InvocationUnit::RouteRequest(wire::InvokeRequest rq, net::Message msg,
     return;
   }
 
-  // Bounded-hop routing (sharded directory only — the origin configuration
-  // keeps the paper's chain walk): chaining is allowed only on knowledge
-  // strictly fresher than the stamp that already routed the request here.
-  // Otherwise the chain could be walked end to end; one shard lookup
-  // replaces that walk, so steady-state delivery is at most two hops.
-  if (core_.directory().mode() == DirectoryMode::kSharded && allow_lookup) {
+  // Bounded-hop routing (with a shard map; without one this is the paper's
+  // chain walk): chaining is allowed only on knowledge strictly fresher
+  // than the stamp that already routed the request here. Otherwise the
+  // chain could be walked end to end; one shard lookup replaces that walk,
+  // so steady-state delivery is at most two hops.
+  if (core_.directory().enabled() && allow_lookup) {
     if (entry.hint_epoch > rq.hint_epoch) {
       core_.inst_.dir_hint_hit->Inc();
     } else {
@@ -623,10 +625,7 @@ void InvocationUnit::ExecuteAndReply(const wire::InvokeRequest& rq,
       tracer.OpenSpan(monitor::SpanKind::kExec, rq.method, rq.trace, begin,
                       rq.trace.retry);
   core_.inst_.execs->Inc();
-  // A routed __fargo.move must not dispatch into the synchronous MoveLocal:
-  // that pumps the scheduler from inside the executor handler, and handlers
-  // are non-blocking state machines (a worker pump would deadlock the
-  // FARGO_PARALLEL round barrier). The move runs async; its reply — and the
+  // A routed __fargo.move runs async like every move: its reply — and the
   // at-most-once bookkeeping — ride the settle continuation.
   if (rq.method == kMoveMethod) {
     ExecuteMoveAndReply(rq, correlation, skey, exec, hops);

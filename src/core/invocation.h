@@ -122,8 +122,8 @@ class InvocationUnit {
   };
 
   /// One routed attempt sequence: opens the root span and dispatches
-  /// locally, parks on the route, or goes remote. (The home-registry
-  /// fallback in InvokeAsync wraps this.) Takes ownership of `args`.
+  /// locally, parks on the route, or goes remote. (The directory fallback
+  /// in InvokeAsync wraps this.) Takes ownership of `args`.
   sim::Future<InvokeResult> StartCall(const ComletHandle& handle,
                                       const std::string& method,
                                       std::vector<Value> args);
@@ -131,8 +131,7 @@ class InvocationUnit {
   void DispatchLocalCall(const std::shared_ptr<AsyncCall>& call);
   /// Origin-side twin of ExecuteMoveAndReply: a kMoveMethod call whose
   /// target is hosted right here runs through MoveLocalAsync and settles
-  /// from the continuation (never via DispatchLocal's synchronous MoveLocal,
-  /// which pumps).
+  /// from the continuation.
   void DispatchLocalMove(const std::shared_ptr<AsyncCall>& call);
   /// Decodes a routed __fargo.move request and starts the movement; decode
   /// errors and a vanished target come back as a rejected future.

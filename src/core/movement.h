@@ -53,18 +53,12 @@ class MovementUnit {
   explicit MovementUnit(Core& core) : core_(core) {}
 
   /// Moves a locally hosted complet (and whatever its references' layout
-  /// semantics drag along) to `dest` in one inter-Core message. Blocks
-  /// until the destination acknowledges; rolls the complets back on
-  /// failure.
-  void MoveLocal(ComletId primary, CoreId dest, std::string continuation,
-                 std::vector<Value> args);
-
-  /// Asynchronous form of MoveLocal. Marshals and transitions the complets
-  /// out synchronously (invocations racing the stream start parking at once),
-  /// then settles the returned future when the destination acknowledges AND
-  /// every deferred remote pull has run its course (pull failures are logged,
-  /// never propagated — matching MoveLocal). Rejects with the same
-  /// exceptions MoveLocal throws.
+  /// semantics drag along) to `dest` in one inter-Core message. Marshals
+  /// and transitions the complets out synchronously (invocations racing the
+  /// stream start parking at once), then settles the returned future when
+  /// the destination acknowledges AND every deferred remote pull has run
+  /// its course (pull failures are logged, never propagated). Rejects, with
+  /// the complets rolled back, when the move fails.
   sim::Future<sim::Unit> MoveLocalAsync(ComletId primary, CoreId dest,
                                         std::string continuation,
                                         std::vector<Value> args);

@@ -83,32 +83,18 @@ class Runtime {
   std::size_t WriteTrace(std::ostream& os) const;
   std::size_t DumpTrace(const std::string& path) const;
 
-  /// Enables the location-independent naming scheme the paper lists as
-  /// future work (§7): every complet's origin Core doubles as its *home
-  /// registry*. Hosts report arrivals to the home; a stub whose tracker
-  /// chain is severed (e.g. by a crashed Core) consults the home and
-  /// re-routes. Costs one extra (asynchronous) message per movement.
-  /// Implemented as the directory plane's 1-shard-per-origin configuration
-  /// (DirectoryMode::kOrigin; see src/core/directory.h).
-  void EnableHomeRegistry(bool on) {
-    directory_mode_ = on ? DirectoryMode::kOrigin : DirectoryMode::kDisabled;
-  }
-  /// True when any directory configuration (origin or sharded) is active.
-  bool home_registry_enabled() const {
-    return directory_mode_ != DirectoryMode::kDisabled;
-  }
-
-  /// Enables the sharded directory plane: location records are owned by a
+  /// Enables the directory plane, the location-independent naming scheme
+  /// the paper lists as future work (§7): location records are owned by a
   /// consistent-hash ring over `owners` (`vnodes` ring points per shard).
-  /// Installs the map deployment-wide at the next version; use
-  /// Directory::BroadcastMap to exercise the kDirectoryMap wire path.
+  /// Hosts publish arrivals to a complet's home shard; a stub whose tracker
+  /// chain is severed (e.g. by a crashed Core) asks the shard and re-routes.
+  /// The paper's "home registry" is the one-owner map
+  /// `EnableDirectory({home})`. Installs the map deployment-wide at the
+  /// next version; use Directory::BroadcastMap to exercise the
+  /// kDirectoryMap wire path.
   void EnableDirectory(std::vector<CoreId> owners, std::uint32_t vnodes = 16);
-  DirectoryMode directory_mode() const { return directory_mode_; }
+  /// The deployment-wide map; invalid (version 0) until EnableDirectory.
   const ShardMap& shard_map() const { return shard_map_; }
-  /// Higher-version-wins adoption into the deployment-wide map
-  /// (conductor-side; a Core adopts a kDirectoryMap payload into its own
-  /// Directory instead). Returns true when `map` replaced the installed one.
-  bool AdoptShardMap(const ShardMap& map);
 
   /// Convenience pumps for drivers/tests.
   void RunFor(SimTime d) { scheduler_->RunFor(d); }
@@ -122,8 +108,7 @@ class Runtime {
   net::Network network_;
   std::vector<std::unique_ptr<Core>> cores_;
   std::uint32_t next_core_id_ = 0;
-  DirectoryMode directory_mode_ = DirectoryMode::kDisabled;
-  ShardMap shard_map_;  ///< valid only under DirectoryMode::kSharded
+  ShardMap shard_map_;  ///< conductor-written; Cores read it via Directory
   bool tracing_ = false;
   /// serial::BufferStats values already folded into the registry; the
   /// stats are process-global, the registry is per-Runtime.

@@ -42,7 +42,9 @@ struct ShardMap {
   std::vector<CoreId> owners;  ///< shard index -> owning Core
   std::uint32_t vnodes = 16;   ///< ring points per shard
 
-  bool valid() const { return version != 0 && !owners.empty(); }
+  bool valid() const {
+    return version != 0 && !owners.empty() && vnodes != 0;
+  }
   std::size_t shard_count() const { return owners.size(); }
 
   /// Rebuilds the sorted ring from (owners.size(), vnodes). Must be

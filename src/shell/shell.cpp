@@ -364,25 +364,17 @@ void Shell::CmdGc(const std::vector<std::string>& args) {
 }
 
 void Shell::CmdDir() {
-  const core::DirectoryMode mode = runtime_.directory_mode();
-  const char* mode_name = mode == core::DirectoryMode::kSharded ? "sharded"
-                          : mode == core::DirectoryMode::kOrigin
-                              ? "origin"
-                              : "disabled";
-  out_ << "mode=" << mode_name;
-  if (mode == core::DirectoryMode::kSharded) {
-    const core::ShardMap& map = runtime_.shard_map();
-    out_ << " map_version=" << map.version << " shards=" << map.shard_count()
-         << " vnodes=" << map.vnodes;
+  const core::ShardMap& map = runtime_.shard_map();
+  if (map.valid()) {
+    out_ << "map_version=" << map.version << " shards=" << map.shard_count()
+         << " vnodes=" << map.vnodes << "\n";
+  } else {
+    out_ << "disabled (no shard map)\n";
   }
-  out_ << "\n";
-  if (mode != core::DirectoryMode::kDisabled) {
-    for (core::Core* c : runtime_.Cores()) {
-      if (!c->alive()) continue;
-      const std::size_t entries = c->directory().store().size();
-      if (mode == core::DirectoryMode::kSharded || entries > 0)
-        out_ << "  shard @" << c->name() << ": entries=" << entries << "\n";
-    }
+  for (core::Core* c : runtime_.Cores()) {
+    if (!c->alive() || !c->directory().enabled()) continue;
+    out_ << "  shard @" << c->name()
+         << ": entries=" << c->directory().store().size() << "\n";
   }
   const monitor::Registry& reg = runtime_.metrics();
   out_ << "  publishes=" << reg.CounterValue("dir.publishes")

@@ -162,8 +162,8 @@ TEST_F(AsyncPipelineTest, ChaosPipelinedBatchesNeverDoubleExecute) {
       try {
         cores[b % 3]->MoveId(ledger.target(), cores[(b + 1) % 3]->id());
       } catch (const FargoError&) {
-        // Retries exhausted under chaos; the batch below still routes via
-        // home-registry fallback.
+        // Retries exhausted under chaos; the batch below still routes
+        // down the tracker chain.
       }
     }
     std::vector<sim::Future<std::int64_t>> batch;
@@ -218,6 +218,41 @@ TEST_F(AsyncPipelineTest, PureAsyncPipelineNeverNestsThePump) {
   EXPECT_EQ(rt.scheduler().MaxPumpDepth(), 1);
   EXPECT_EQ(rt.metrics().GaugeValue("sched.pump_depth"), 1.0);
 }
+
+/// Runs under both engines whatever FARGO_PARALLEL says: 0 = sim, 2 = two
+/// locality workers.
+class EngineTest : public FargoTest,
+                   public ::testing::WithParamInterface<int> {
+ protected:
+  EngineTest() : FargoTest(GetParam()) {}
+};
+
+TEST_P(EngineTest, LocalOnewayMoveNeverPumps) {
+  // A one-way __fargo.move posted to a complet hosted right here is
+  // dispatched from a scheduled task. The move must run async from there:
+  // a blocking wait would nest the pump (sim) or throw on a locality
+  // worker (parallel), and the latter is logged as a failed one-way.
+  auto cores = MakeCores(2, Millis(10));
+  auto counter = cores[0]->New<Counter>();
+  ::testing::internal::CaptureStderr();
+  counter.Post(std::string(core::kMoveMethod),
+               {Value(static_cast<std::int64_t>(cores[1]->id().value)),
+                Value(std::string()), Value(Value::List{})});
+  rt.RunUntilIdle();
+  const std::string log = ::testing::internal::GetCapturedStderr();
+
+  EXPECT_TRUE(cores[1]->repository().Contains(counter.target()));
+  EXPECT_FALSE(cores[0]->repository().Contains(counter.target()));
+  EXPECT_EQ(rt.scheduler().MaxPumpDepth(), 1);
+  EXPECT_EQ(log.find("failed"), std::string::npos) << log;
+}
+
+INSTANTIATE_TEST_SUITE_P(Engines, EngineTest, ::testing::Values(0, 2),
+                         [](const ::testing::TestParamInfo<int>& info) {
+                           return info.param == 0
+                                      ? std::string("Sim")
+                                      : "Parallel" + std::to_string(info.param);
+                         });
 
 TEST_F(AsyncPipelineTest, LateRepliesAreCountedAndDropped) {
   auto cores = MakeCores(2, Millis(30));  // RTT 60 ms

@@ -80,24 +80,48 @@ TEST(ShardMapTest, WireRoundTripRebuildsTheRing) {
 // Directory plane wiring on a live runtime.
 // ---------------------------------------------------------------------------
 
-class DirectoryTest : public FargoTest {};
+class DirectoryTest : public FargoTest {
+ protected:
+  /// Sends `map` from `from` to `to` as a kDirectoryMap payload (the
+  /// receiver adopts it per Core, higher version wins).
+  void SendMap(const core::Core& from, const core::Core& to,
+               const core::ShardMap& map) {
+    serial::Writer w;
+    core::WriteShardMap(w, map);
+    net::Message msg;
+    msg.from = from.id();
+    msg.to = to.id();
+    msg.kind = net::MessageKind::kDirectoryMap;
+    msg.payload = w.Take();
+    rt.network().Send(std::move(msg));
+  }
+};
 
-TEST_F(DirectoryTest, AdoptShardMapIsHigherVersionWins) {
+TEST_F(DirectoryTest, WireMapAdoptionIsHigherVersionWins) {
+  // kDirectoryMap adoption (Directory::HandleMap) keeps the higher version;
+  // equal, older and invalid maps off the wire are ignored.
   auto cores = MakeCores(3);
   rt.EnableDirectory({cores[0]->id()});
   const std::uint64_t v = rt.shard_map().version;
+  auto send = [&](const core::ShardMap& map) {
+    SendMap(*cores[0], *cores[1], map);
+    rt.RunUntilIdle();
+  };
+  const core::Directory& dir = cores[1]->directory();
 
-  core::ShardMap newer =
-      core::MakeShardMap(v + 3, {cores[1]->id(), cores[2]->id()}, 8);
-  EXPECT_TRUE(rt.AdoptShardMap(newer));
-  EXPECT_EQ(rt.shard_map().version, v + 3);
-  EXPECT_EQ(rt.shard_map().shard_count(), 2u);
+  send(core::MakeShardMap(v + 3, {cores[1]->id(), cores[2]->id()}, 8));
+  EXPECT_EQ(dir.shard_map().version, v + 3);
+  EXPECT_EQ(dir.shard_map().shard_count(), 2u);
 
-  // Equal or older versions (and invalid maps) are ignored.
-  EXPECT_FALSE(rt.AdoptShardMap(core::MakeShardMap(v + 3, {cores[0]->id()})));
-  EXPECT_FALSE(rt.AdoptShardMap(core::MakeShardMap(v, {cores[0]->id()})));
-  EXPECT_FALSE(rt.AdoptShardMap(core::ShardMap{}));
-  EXPECT_EQ(rt.shard_map().shard_count(), 2u);
+  send(core::MakeShardMap(v + 3, {cores[0]->id()}));     // equal
+  send(core::MakeShardMap(v + 1, {cores[0]->id()}));     // older
+  send(core::ShardMap{});                                // version 0
+  send(core::MakeShardMap(v + 4, {}));                   // no owners
+  send(core::MakeShardMap(v + 5, {cores[0]->id()}, 0));  // empty ring
+  EXPECT_EQ(dir.shard_map().version, v + 3);
+  EXPECT_EQ(dir.shard_map().shard_count(), 2u);
+  EXPECT_EQ(dir.shard_map().vnodes, 8u);
+  EXPECT_EQ(rt.shard_map().version, v);  // adoption is per Core
 }
 
 TEST_F(DirectoryTest, BroadcastMapReachesEveryPeer) {
@@ -128,14 +152,7 @@ TEST_F(DirectoryTest, WireMapIsAdoptedPerCoreNotDeploymentWide) {
   auto cores = MakeCores(3);
   rt.EnableDirectory({cores[0]->id()});
   const std::uint64_t v = rt.shard_map().version;
-  serial::Writer w;
-  core::WriteShardMap(w, core::MakeShardMap(v + 1, {cores[2]->id()}));
-  net::Message msg;
-  msg.from = cores[0]->id();
-  msg.to = cores[1]->id();
-  msg.kind = net::MessageKind::kDirectoryMap;
-  msg.payload = w.Take();
-  rt.network().Send(std::move(msg));
+  SendMap(*cores[0], *cores[1], core::MakeShardMap(v + 1, {cores[2]->id()}));
   rt.RunUntilIdle();
 
   const ComletId id{cores[0]->id(), 42};
@@ -149,16 +166,29 @@ TEST_F(DirectoryTest, WireMapIsAdoptedPerCoreNotDeploymentWide) {
   EXPECT_EQ(cores[1]->directory().OwnerOf(id), cores[0]->id());
 }
 
-TEST_F(DirectoryTest, OriginModeIsTheLegacyHomeRegistry) {
-  auto cores = MakeCores(2);
-  rt.EnableHomeRegistry(true);
-  EXPECT_EQ(rt.directory_mode(), core::DirectoryMode::kOrigin);
-  auto msg = cores[1]->New<Message>("m");
-  // 1-shard-per-origin: the home shard of a complet IS its origin Core.
-  EXPECT_EQ(cores[0]->directory().OwnerOf(msg.target()), cores[1]->id());
-  rt.EnableHomeRegistry(false);
-  EXPECT_EQ(rt.directory_mode(), core::DirectoryMode::kDisabled);
-  EXPECT_FALSE(cores[0]->directory().OwnerOf(msg.target()).valid());
+TEST_F(DirectoryTest, WireAdoptedMapAloneArmsTheCrashFallback) {
+  // The Runtime installs no map; every Core adopts a one-owner map off the
+  // wire. Routing and the crash fallback read the same predicate, so a
+  // stale observer whose chain runs through a crashed hop is rescued by
+  // the shard lookup instead of timing out.
+  auto cores = MakeCores(4);
+  for (std::size_t i = 0; i < cores.size(); ++i)
+    SendMap(*cores[(i + 1) % cores.size()], *cores[i],
+            core::MakeShardMap(1, {cores[0]->id()}));
+  rt.RunUntilIdle();
+  ASSERT_FALSE(rt.shard_map().valid());
+  for (core::Core* c : cores) ASSERT_TRUE(c->directory().enabled());
+
+  auto beta = cores[0]->New<Message>("beta");
+  cores[0]->Move(beta, cores[1]->id());
+  auto observer = cores[3]->RefTo<Message>(beta.handle());
+  observer.Call("print");  // observer now points straight at core1
+  cores[1]->MoveId(beta.target(), cores[2]->id());
+  rt.RunUntilIdle();  // the shard learns: beta @ core2
+  cores[1]->Crash();
+
+  cores[3]->SetRpcTimeout(Millis(200));
+  EXPECT_EQ(observer.Invoke<std::string>("text"), "beta");
 }
 
 TEST_F(DirectoryTest, InstallAndMovementPublishEpochStampedLocations) {

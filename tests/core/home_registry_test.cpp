@@ -1,7 +1,8 @@
 // The location-independent naming scheme (§7 future work, implemented as
-// an extension): each complet's origin Core doubles as its home registry;
-// severed tracker chains recover by consulting the home. Also covers the
-// Crash() fault-injection primitive.
+// an extension): the home registry is the directory plane's one-owner
+// shard map — core0 is every complet's home, and severed tracker chains
+// recover by consulting it. Also covers the Crash() fault-injection
+// primitive.
 #include <gtest/gtest.h>
 
 #include "tests/support/fixture.h"
@@ -11,38 +12,47 @@ namespace {
 
 class HomeRegistryTest : public FargoTest {
  protected:
-  HomeRegistryTest() { rt.EnableHomeRegistry(true); }
+  /// `n` cores with core0 as the home registry of every complet.
+  std::vector<core::Core*> MakeHomedCores(int n) {
+    auto cores = MakeCores(n);
+    rt.EnableDirectory({cores[0]->id()});
+    return cores;
+  }
+
+  /// Asks `from`'s view of the plane where `id` lives; invalid if unknown.
+  static CoreId Locate(core::Core& from, ComletId id) {
+    return sim::Await(from.directory().LookupAsync(id)).location;
+  }
 };
 
 TEST_F(HomeRegistryTest, HomeTracksArrivals) {
-  auto cores = MakeCores(3);
+  auto cores = MakeHomedCores(3);
   auto msg = cores[0]->New<Message>("m");
-  EXPECT_EQ(cores[0]->LocateViaHome(msg.target()), cores[0]->id());
+  EXPECT_EQ(Locate(*cores[0], msg.target()), cores[0]->id());
   cores[0]->Move(msg, cores[1]->id());
   rt.RunUntilIdle();  // let the home update land
-  EXPECT_EQ(cores[2]->LocateViaHome(msg.target()), cores[1]->id());
+  EXPECT_EQ(Locate(*cores[2], msg.target()), cores[1]->id());
   cores[1]->MoveId(msg.target(), cores[2]->id());
   rt.RunUntilIdle();
-  EXPECT_EQ(cores[0]->LocateViaHome(msg.target()), cores[2]->id());
+  EXPECT_EQ(Locate(*cores[0], msg.target()), cores[2]->id());
 }
 
 TEST_F(HomeRegistryTest, UnknownCompletHasNoLocation) {
-  auto cores = MakeCores(2);
-  EXPECT_FALSE(
-      cores[1]->LocateViaHome(ComletId{cores[0]->id(), 999}).valid());
+  auto cores = MakeHomedCores(2);
+  EXPECT_FALSE(Locate(*cores[1], ComletId{cores[0]->id(), 999}).valid());
 }
 
 TEST_F(HomeRegistryTest, DisabledRegistryAnswersNothing) {
-  rt.EnableHomeRegistry(false);
-  auto cores = MakeCores(2);
+  auto cores = MakeCores(2);  // no shard map: the plane is off
   auto msg = cores[0]->New<Message>("m");
-  EXPECT_FALSE(cores[1]->LocateViaHome(msg.target()).valid());
+  EXPECT_FALSE(cores[1]->directory().enabled());
+  EXPECT_FALSE(Locate(*cores[1], msg.target()).valid());
 }
 
 TEST_F(HomeRegistryTest, InvocationSurvivesACrashedChainHop) {
   // beta: core0(home) -> core1 -> core2. core1 crashes abruptly (no flush).
   // A stale observer pointing at core1 recovers via the home registry.
-  auto cores = MakeCores(4);
+  auto cores = MakeHomedCores(4);
   auto beta = cores[0]->New<Message>("beta");
   cores[0]->Move(beta, cores[1]->id());
   auto observer = cores[3]->RefTo<Message>(beta.handle());
@@ -63,8 +73,7 @@ TEST_F(HomeRegistryTest, InvocationSurvivesACrashedChainHop) {
 }
 
 TEST_F(HomeRegistryTest, WithoutRegistryACrashSeversChains) {
-  rt.EnableHomeRegistry(false);
-  auto cores = MakeCores(4);
+  auto cores = MakeCores(4);  // no shard map
   auto beta = cores[0]->New<Message>("beta");
   cores[0]->Move(beta, cores[1]->id());
   auto observer = cores[3]->RefTo<Message>(beta.handle());
@@ -76,7 +85,7 @@ TEST_F(HomeRegistryTest, WithoutRegistryACrashSeversChains) {
 }
 
 TEST_F(HomeRegistryTest, CrashOfTheTargetItselfStillFails) {
-  auto cores = MakeCores(3);
+  auto cores = MakeHomedCores(3);
   auto msg = cores[0]->New<Message>("m");
   cores[0]->Move(msg, cores[1]->id());
   rt.RunUntilIdle();
@@ -88,7 +97,7 @@ TEST_F(HomeRegistryTest, CrashOfTheTargetItselfStillFails) {
 }
 
 TEST_F(HomeRegistryTest, CrashedHomeDegradesGracefully) {
-  auto cores = MakeCores(4);
+  auto cores = MakeHomedCores(4);
   auto beta = cores[0]->New<Message>("beta");
   cores[0]->Move(beta, cores[1]->id());
   auto observer = cores[3]->RefTo<Message>(beta.handle());
@@ -105,7 +114,7 @@ TEST_F(HomeRegistryTest, CrashedHomeDegradesGracefully) {
 TEST_F(HomeRegistryTest, OutOfOrderHomeUpdatesResolveByTimestamp) {
   // Move the complet rapidly; home updates race over links with different
   // latencies but the home keeps the newest observation.
-  auto cores = MakeCores(4);
+  auto cores = MakeHomedCores(4);
   // Slow link from core1 to home, fast from core2.
   rt.network().SetLinkOneWay(cores[1]->id(), cores[0]->id(),
                              {Millis(500), 1e9, true});
@@ -113,13 +122,13 @@ TEST_F(HomeRegistryTest, OutOfOrderHomeUpdatesResolveByTimestamp) {
   cores[0]->Move(msg, cores[1]->id());  // update travels slowly
   cores[1]->MoveId(msg.target(), cores[2]->id());  // update travels fast
   rt.RunFor(Seconds(2));  // both updates have landed, slow one last
-  EXPECT_EQ(cores[3]->LocateViaHome(msg.target()), cores[2]->id());
+  EXPECT_EQ(Locate(*cores[3], msg.target()), cores[2]->id());
 }
 
 TEST_F(HomeRegistryTest, MoveCommandsAlsoRecoverViaRetry) {
   // Core::Move routed through a crashed hop recovers because the move
   // command travels as a (retryable) system invocation.
-  auto cores = MakeCores(4);
+  auto cores = MakeHomedCores(4);
   auto msg = cores[0]->New<Message>("m");
   cores[0]->Move(msg, cores[1]->id());
   auto ref = cores[3]->RefTo<Message>(msg.handle());
@@ -133,7 +142,7 @@ TEST_F(HomeRegistryTest, MoveCommandsAlsoRecoverViaRetry) {
 }
 
 TEST_F(HomeRegistryTest, CorruptControlMessagesAreDropped) {
-  auto cores = MakeCores(2);
+  auto cores = MakeHomedCores(2);
   net::Message bad;
   bad.from = cores[1]->id();
   bad.to = cores[0]->id();

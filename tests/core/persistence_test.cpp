@@ -110,8 +110,8 @@ TEST_F(PersistenceTest, CorruptImageIsRejected) {
 TEST_F(PersistenceTest, CrashRecoveryWithHomeRegistryHealsReferences) {
   // The full recovery story: checkpoint, crash, restore elsewhere; a
   // remote client's stale reference heals through the home registry.
-  rt.EnableHomeRegistry(true);
   auto cores = MakeCores(3);
+  rt.EnableDirectory({cores[1]->id()});  // the host is its own home
   auto counter = cores[1]->New<Counter>();
   counter.Call("increment", {Value(7)});
   auto client = cores[0]->RefTo<Counter>(counter.handle());
@@ -137,8 +137,8 @@ TEST_F(PersistenceTest, CrashRecoveryWithHomeRegistryHealsReferences) {
 TEST_F(PersistenceTest, CrashRecoveryHealsWhenHomeSurvives) {
   // Home (origin) core survives; the hosting core crashes; restore on a
   // standby core and the OLD stub heals transparently via the home.
-  rt.EnableHomeRegistry(true);
   auto cores = MakeCores(3);
+  rt.EnableDirectory({cores[0]->id()});
   auto counter = cores[0]->New<Counter>();  // home: core0
   counter.Call("increment", {Value(3)});
   cores[0]->Move(counter, cores[1]->id());

@@ -37,8 +37,8 @@ TEST_P(SoakTest, RandomOperationStreamStaysConsistent) {
   std::mt19937 rng(GetParam());
   const int kCores = 5;
   auto cores = MakeCores(kCores, Millis(2), 1e7);
-  const bool use_home = GetParam() % 2 == 0;
-  rt.EnableHomeRegistry(use_home);
+  // Even seeds run with core0 as the home registry (a one-owner map).
+  if (GetParam() % 2 == 0) rt.EnableDirectory({cores[0]->id()});
 
   struct Entry {
     core::ComletRef<Counter> ref;
@@ -153,9 +153,9 @@ TEST_P(PartitionSoakTest, FlappingLinksNeverCorruptState) {
   std::mt19937 rng(GetParam());
   const int kCores = 4;
   auto cores = MakeCores(kCores, Millis(2), 1e7);
-  // Half the seeds run with the home registry, which adds the
-  // retry-via-home path to the chaos.
-  rt.EnableHomeRegistry(GetParam() % 2 == 1);
+  // Half the seeds run with core0 as the home registry (a one-owner map),
+  // which adds the retry-via-home path to the chaos.
+  if (GetParam() % 2 == 1) rt.EnableDirectory({cores[0]->id()});
   for (core::Core* c : cores) c->SetRpcTimeout(Millis(80));
 
   auto counter = cores[0]->New<Counter>();

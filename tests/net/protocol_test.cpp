@@ -111,13 +111,13 @@ TEST_F(ProtocolTest, RoutedMoveCommandUsesInvocationEnvelope) {
 }
 
 TEST_F(ProtocolTest, HomeRegistryAddsOneAsyncUpdatePerRemoteArrival) {
-  rt.EnableHomeRegistry(true);
   auto cores = MakeCores(3);
+  rt.EnableDirectory({cores[0]->id()});    // core0 is the home registry
   auto msg = cores[0]->New<Message>("m");  // home: core0; local, no message
   Record();
   cores[0]->Move(msg, cores[1]->id());
   rt.RunUntilIdle();
-  // Move + reply + one kDirectoryPublish core1 -> core0 (the origin shard).
+  // Move + reply + one kDirectoryPublish core1 -> core0 (the home shard).
   EXPECT_EQ(CountKind(MessageKind::kDirectoryPublish), 1u);
   bool saw_update = false;
   for (const Entry& e : log)

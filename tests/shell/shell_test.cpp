@@ -104,6 +104,20 @@ TEST_F(ShellTest, GcReportsReclaimedTrackers) {
   EXPECT_NE(s.find("reclaimed"), std::string::npos);
 }
 
+TEST_F(ShellTest, DirFollowsTheShardMap) {
+  std::string s = Run("dir");
+  EXPECT_NE(s.find("disabled"), std::string::npos);
+  EXPECT_EQ(s.find("shard @"), std::string::npos);
+
+  rt.EnableDirectory({cores[0]->id()});  // core0 as the home registry
+  cores[1]->New<Message>("x");
+  rt.RunUntilIdle();
+  s = Run("dir");
+  EXPECT_NE(s.find("map_version=1 shards=1"), std::string::npos);
+  EXPECT_NE(s.find("shard @core0: entries=1"), std::string::npos);
+  EXPECT_NE(s.find("shard @core2: entries=0"), std::string::npos);
+}
+
 TEST_F(ShellTest, ErrorsAreReportedNotThrown) {
   EXPECT_NE(Run("move nosuch core1").find("error:"), std::string::npos);
   EXPECT_NE(Run("bogus_command").find("unknown command"), std::string::npos);

@@ -14,7 +14,7 @@
 //   link <coreA> <coreB> <latency_ms> <mbit>
 //   complet <core> <name> [payload_bytes]
 //   traffic <from-complet> <to-complet> <calls_per_second>
-//   home-registry on
+//   directory <core> [<core>...]
 //
 // Example: tools/example.cfg reproduces the paper's §4.3 scenario from
 // pure configuration.
@@ -164,12 +164,9 @@ int main(int argc, char** argv) {
         Traffic t;
         ls >> t.from >> t.to >> t.per_second;
         traffic.push_back(t);
-      } else if (word == "home-registry") {
-        std::string flag;
-        ls >> flag;
-        rt.EnableHomeRegistry(flag == "on");
       } else if (word == "directory") {
-        // directory <core> [<core>...] — sharded plane with these owners.
+        // directory <core> [<core>...] — naming plane with these shard
+        // owners; one owner is the paper's home registry.
         std::vector<CoreId> owners;
         std::string owner_name;
         while (ls >> owner_name) {
