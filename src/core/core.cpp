@@ -317,28 +317,6 @@ Value Core::DispatchLocal(ComletId target, std::string_view method,
     throw FargoError("complet " + ToString(target) + " is not hosted at " +
                      name_);
   if (method == kPingMethod) return Value();
-  if (method == kMoveMethod) {
-    CoreId dest{static_cast<std::uint32_t>(args.at(0).AsInt())};
-    std::string continuation = args.at(1).AsString();
-    std::vector<Value> cont_args = args.at(2).AsList();
-    // Only a local one-way Post lands here (two-way and routed moves take
-    // the invocation unit's async move paths). Dispatch runs inside a
-    // scheduled task, so it must not wait: the move settles on its own and
-    // a rollback is logged like any failed one-way.
-    movement_
-        ->MoveLocalAsync(target, dest, std::move(continuation),
-                         std::move(cont_args))
-        .OnSettle([target](sim::Future<sim::Unit> f) {
-          if (f.ok()) return;
-          try {
-            f.Take();
-          } catch (const std::exception& e) {
-            LogWarn() << "one-way move of " << ToString(target)
-                      << " failed: " << e.what();
-          }
-        });
-    return Value();
-  }
   if (method == kMethodsMethod) {
     Value::List names;
     for (std::string& n : anchor->methods().Names())
@@ -583,9 +561,12 @@ void Core::Park(ComletId id, net::Message msg, CoreId error_reply_to) {
   // Expiry: if the complet hasn't arrived by then, fail the request as a
   // transport error (never executed) instead of holding it forever — a
   // late arrival must not execute a request whose origin already gave up.
+  // Half the RPC timeout is shorter than any origin's patience, so a parked
+  // request never executes after its origin re-routed (docs/PROTOCOL.md
+  // "Failure semantics").
   scheduler().ScheduleAfter(
       // fargolint: allow(capture-this) Runtime clears pending events before destroying Cores
-      park_expiry(), [this, id, correlation, error_reply_to] {
+      rpc_timeout_ / 2, [this, id, correlation, error_reply_to] {
         auto it = parked_.find(id);
         if (it == parked_.end()) return;
         auto& queue = it->second;
@@ -610,14 +591,12 @@ void Core::Park(ComletId id, net::Message msg, CoreId error_reply_to) {
                                 monitor::SpanOutcome::kTransportError);
               trace = span.ctx;
             }
-            serial::Writer w;
-            w.WriteBool(false);  // not ok
-            w.WriteBool(true);   // transport failure: never executed
-            w.WriteString("no route to complet " + ToString(id) + " at " +
-                          name_ + " (parked request expired)");
-            wire::WriteTraceTail(w, trace);
             Reply(error_reply_to, net::MessageKind::kInvokeReply, correlation,
-                  w.Take());
+                  wire::EncodeInvokeReply(wire::InvokeReply::Error(
+                      /*transport=*/true,  // never executed
+                      "no route to complet " + ToString(id) + " at " + name_ +
+                          " (parked request expired)",
+                      trace)));
           }
           return;
         }
@@ -1202,7 +1181,6 @@ void Core::Shutdown(SimTime grace) {
 
 void Core::RecordInvocation(ComletId src, ComletId dst) {
   ++invocation_counts_[{src, dst}];
-  ++total_invocations_;
 }
 
 std::uint64_t Core::InvocationCount(ComletId src, ComletId dst) const {

@@ -233,7 +233,9 @@ class Core {
   // ==== runtime internals (used by the units, monitor, script, shell) ========
 
   /// Executes a method on a locally hosted complet (invocation unit's final
-  /// dispatch; also used for continuations and event delivery).
+  /// dispatch; also used for continuations and event delivery). Answers
+  /// ping and methods itself; __fargo.move is not a dispatch — the
+  /// invocation unit's run step starts the async move.
   Value DispatchLocal(ComletId target, std::string_view method,
                       const std::vector<Value>& args);
 
@@ -306,7 +308,6 @@ class Core {
   // -- application profiling counters (§4.1) -----------------------------------
   void RecordInvocation(ComletId src, ComletId dst);
   std::uint64_t InvocationCount(ComletId src, ComletId dst) const;
-  std::uint64_t TotalInvocations() const { return total_invocations_; }
 
   /// Complet whose method is currently executing (invalid at top level);
   /// used to attribute materialized references to their containing complet.
@@ -346,16 +347,6 @@ class Core {
   /// (settled at the origin) are dropped. Sessionless messages are always
   /// admitted — the idempotent protocols never stamp a key.
   bool AdmitOnce(const net::Message& msg);
-
-  /// How long parked requests wait for an in-transit complet before being
-  /// failed with a transport error. 0 (default) means rpc_timeout()/2 —
-  /// shorter than any origin's patience, so a parked request can never
-  /// execute after its origin gave up and retried elsewhere (that would
-  /// break at-most-once; see docs/PROTOCOL.md "Failure semantics").
-  void SetParkExpiry(SimTime t) { park_expiry_ = t; }
-  SimTime park_expiry() const {
-    return park_expiry_ > 0 ? park_expiry_ : rpc_timeout_ / 2;
-  }
 
   // -- failure detection ------------------------------------------------------
 
@@ -475,7 +466,6 @@ class Core {
   std::uint64_t next_comlet_seq_ = 0;
   std::uint64_t next_correlation_ = 0;
   SimTime rpc_timeout_ = Seconds(30);
-  SimTime park_expiry_ = 0;  ///< 0 = derive from rpc_timeout_
   RetryPolicy retry_policy_;
   net::SessionPool sessions_;      ///< origin side: slot leases per peer
   net::ReplayDirectory replay_;    ///< executor side: per-slot reply cache
@@ -496,7 +486,6 @@ class Core {
   };
   std::unordered_map<std::pair<ComletId, ComletId>, std::uint64_t, PairHash>
       invocation_counts_;
-  std::uint64_t total_invocations_ = 0;
   std::vector<ComletId> exec_stack_;
 
   struct RemoteSub {

@@ -9,7 +9,6 @@
 #include "src/core/runtime.h"
 #include "src/core/wal.h"
 #include "src/core/wire.h"
-#include "src/serial/value_codec.h"
 
 namespace fargo::core {
 
@@ -122,49 +121,60 @@ sim::Future<InvokeResult> InvocationUnit::StartCall(
 }
 
 void InvocationUnit::DispatchLocalCall(const std::shared_ptr<AsyncCall>& call) {
-  if (call->req.method == kMoveMethod) {
-    DispatchLocalMove(call);
+  Outcome out = Run(call->req.handle.id, call->req.method, call->req.args,
+                    call->root.ctx);
+  if (out.move.valid()) {
+    // No WAL barrier for a move: the movement protocol's own commit
+    // barriers gate its settle, so a resolved move is already as durable
+    // as this Core gets.
+    out.move.OnSettle(
+        // fargolint: allow(capture-this) the unit lives inside its Core, which outlives the cleared event queue
+        [this, call](sim::Future<sim::Unit> f) {
+          ConcludeLocal(call, Outcome{Value(), f.error(), {}});
+        });
     return;
   }
-  try {
-    core_.inst_.execs->Inc();
-    Value v;
-    {
-      monitor::TraceScope scope(core_.tracer(), call->root.ctx);
-      v = core_.DispatchLocal(call->req.handle.id, call->req.method,
-                              call->req.args);
-    }
-    Wal* wal = core_.wal();
-    if (wal != nullptr && !wal->replaying()) {
-      // A durable Core acknowledges execution only after a barrier covers
-      // the state records the dispatch appended — the caller must never
-      // act on a result the log could still lose.
-      const std::uint64_t epoch = core_.restart_epoch();
-      auto res = std::make_shared<InvokeResult>(
-          InvokeResult{std::move(v), core_.id(), 0});
-      wal->Sync().OnSettle(
-          // fargolint: allow(capture-this) the unit lives inside its Core, which outlives the cleared event queue
-          [this, call, res, epoch](sim::Future<sim::Unit>) mutable {
-            if (!core_.alive() || core_.restart_epoch() != epoch) {
-              FinalizeError(
-                  call,
-                  std::make_exception_ptr(UnreachableError(
-                      "core crashed before the invocation was durable")),
-                  monitor::SpanOutcome::kTransportError);
-              return;
-            }
-            FinalizeOk(call, std::move(*res));
-          });
-      return;
-    }
-    FinalizeOk(call, InvokeResult{std::move(v), core_.id(), 0});
-  } catch (const UnreachableError&) {
-    FinalizeError(call, std::current_exception(),
-                  monitor::SpanOutcome::kTransportError);
-  } catch (const std::exception&) {
-    FinalizeError(call, std::current_exception(),
-                  monitor::SpanOutcome::kAppError);
+  Wal* wal = core_.wal();
+  if (!out.error && wal != nullptr && !wal->replaying()) {
+    // A durable Core acknowledges execution only after a barrier covers
+    // the state records the dispatch appended — the caller must never
+    // act on a result the log could still lose.
+    const std::uint64_t epoch = core_.restart_epoch();
+    auto res = std::make_shared<InvokeResult>(
+        InvokeResult{std::move(out.value), core_.id(), 0});
+    wal->Sync().OnSettle(
+        // fargolint: allow(capture-this) the unit lives inside its Core, which outlives the cleared event queue
+        [this, call, res, epoch](sim::Future<sim::Unit>) mutable {
+          if (!core_.alive() || core_.restart_epoch() != epoch) {
+            FinalizeError(
+                call,
+                std::make_exception_ptr(UnreachableError(
+                    "core crashed before the invocation was durable")),
+                monitor::SpanOutcome::kTransportError);
+            return;
+          }
+          FinalizeOk(call, std::move(*res));
+        });
+    return;
   }
+  ConcludeLocal(call, std::move(out));
+}
+
+void InvocationUnit::ConcludeLocal(const std::shared_ptr<AsyncCall>& call,
+                                   Outcome&& out) {
+  if (!out.error) {
+    FinalizeOk(call, InvokeResult{std::move(out.value), core_.id(), 0});
+    return;
+  }
+  // An UnreachableError means the request never reached its target.
+  monitor::SpanOutcome outcome = monitor::SpanOutcome::kAppError;
+  try {
+    std::rethrow_exception(out.error);
+  } catch (const UnreachableError&) {
+    outcome = monitor::SpanOutcome::kTransportError;
+  } catch (...) {
+  }
+  FinalizeError(call, std::move(out.error), outcome);
 }
 
 void InvocationUnit::AwaitRoute(const std::shared_ptr<AsyncCall>& call,
@@ -421,12 +431,16 @@ void InvocationUnit::Post(const ComletHandle& handle, std::string_view method,
         // fargolint: allow(capture-this) the unit lives inside its Core, which outlives the cleared event queue
         0, [this, id = handle.id, method = std::string(method),
             args = std::move(args)] {
-          core_.inst_.execs->Inc();
-          try {
-            core_.DispatchLocal(id, method, args);
-          } catch (const std::exception& e) {
+          Outcome out = Run(id, method, args, core_.tracer().Current());
+          if (out.move.valid()) {
+            out.move.OnSettle([method](sim::Future<sim::Unit> f) {
+              if (!f.ok())
+                LogWarn() << "one-way invocation of " << method
+                          << " failed: " << sim::ErrorMessage(f.error());
+            });
+          } else if (out.error) {
             LogWarn() << "one-way invocation of " << method << " failed: "
-                      << e.what();
+                      << sim::ErrorMessage(out.error);
           }
         });
     return;
@@ -547,13 +561,11 @@ void InvocationUnit::RouteRequest(wire::InvokeRequest rq, net::Message msg,
                 << " dropped: exceeded max forwarding hops";
       return;
     }
-    serial::Writer w;
-    w.WriteBool(false);  // not ok
-    w.WriteBool(true);   // transport failure: never executed
-    w.WriteString("invocation exceeded max forwarding hops (loop?)");
-    wire::WriteTraceTail(w, rq.trace);
     core_.Reply(rq.origin, net::MessageKind::kInvokeReply, msg.correlation,
-                w.Take());
+                wire::EncodeInvokeReply(wire::InvokeReply::Error(
+                    /*transport=*/true,  // never executed
+                    "invocation exceeded max forwarding hops (loop?)",
+                    rq.trace)));
     return;
   }
 
@@ -615,37 +627,83 @@ void InvocationUnit::ForwardRequest(wire::InvokeRequest rq,
   core_.formation().Enqueue(std::move(fwd), net::Formation::Lane::kImmediate);
 }
 
+InvocationUnit::Outcome InvocationUnit::Run(ComletId target,
+                                            const std::string& method,
+                                            const std::vector<Value>& args,
+                                            const wire::TraceContext& ctx) {
+  core_.inst_.execs->Inc();
+  monitor::TraceScope scope(core_.tracer(), ctx);
+  Outcome out;
+  if (method == kMoveMethod) {
+    out.move = StartMove(target, args);
+    return out;
+  }
+  try {
+    out.value = core_.DispatchLocal(target, method, args);
+  } catch (...) {
+    out.error = std::current_exception();
+  }
+  return out;
+}
+
+sim::Future<sim::Unit> InvocationUnit::StartMove(
+    ComletId target, const std::vector<Value>& args) {
+  // Marshal + transition happen synchronously inside MoveLocalAsync, so
+  // invocations racing the stream park immediately; the returned future
+  // settles once the destination acknowledges (or the move rolls back).
+  try {
+    if (!core_.repository().Contains(target))
+      throw FargoError("complet " + ToString(target) + " is not hosted at " +
+                       core_.name());
+    CoreId dest{static_cast<std::uint32_t>(args.at(0).AsInt())};
+    return core_.movement().MoveLocalAsync(target, dest, args.at(1).AsString(),
+                                           args.at(2).AsList());
+  } catch (const UnreachableError& e) {
+    return sim::MakeErrorFuture<sim::Unit>(core_.scheduler(), e);
+  } catch (const std::exception& e) {
+    return sim::MakeErrorFuture<sim::Unit>(core_.scheduler(),
+                                           FargoError(e.what()));
+  }
+}
+
 void InvocationUnit::ExecuteAndReply(const wire::InvokeRequest& rq,
                                      std::uint64_t correlation,
                                      const net::SessionKey& skey) {
-  monitor::Tracer& tracer = core_.tracer();
-  const SimTime begin = core_.scheduler().Now();
-  const int hops = static_cast<int>(rq.path.size()) + 1;
-  monitor::Tracer::Opened exec =
-      tracer.OpenSpan(monitor::SpanKind::kExec, rq.method, rq.trace, begin,
-                      rq.trace.retry);
-  core_.inst_.execs->Inc();
-  // A routed __fargo.move runs async like every move: its reply — and the
-  // at-most-once bookkeeping — ride the settle continuation.
-  if (rq.method == kMoveMethod) {
-    ExecuteMoveAndReply(rq, correlation, skey, exec, hops);
+  const monitor::Tracer::Opened exec = core_.tracer().OpenSpan(
+      monitor::SpanKind::kExec, rq.method, rq.trace, core_.scheduler().Now(),
+      rq.trace.retry);
+  Outcome out = Run(rq.handle.id, rq.method, rq.args, exec.ctx);
+  if (!out.move.valid()) {
+    Conclude(rq, correlation, skey, exec, std::move(out));
     return;
   }
+  // A move concludes from its settle. A settle that outlives this Core's
+  // incarnation (crash or restart) must not answer or record anything.
+  const std::uint64_t epoch = core_.restart_epoch();
+  out.move.OnSettle(
+      // fargolint: allow(capture-this) the unit lives inside its Core, which outlives the cleared event queue
+      [this, rq, correlation, skey, exec, epoch](sim::Future<sim::Unit> f) {
+        if (!core_.alive() || core_.restart_epoch() != epoch) return;
+        Conclude(rq, correlation, skey, exec, Outcome{Value(), f.error(), {}});
+      });
+}
+
+void InvocationUnit::Conclude(const wire::InvokeRequest& rq,
+                              std::uint64_t correlation,
+                              const net::SessionKey& skey,
+                              const monitor::Tracer::Opened& exec,
+                              Outcome&& out) {
+  core_.tracer().CloseSpan(exec.token, core_.scheduler().Now(),
+                           out.error ? monitor::SpanOutcome::kAppError
+                                     : monitor::SpanOutcome::kOk,
+                           static_cast<int>(rq.path.size()) + 1);
   if (rq.oneway) {
-    // Reply-less flow: execute, mark the slot complete (with an empty
-    // cached reply — duplicates are dropped, not re-answered) and still
-    // shorten the chain; errors die here with a log line.
-    try {
-      monitor::TraceScope scope(tracer, exec.ctx);
-      core_.DispatchLocal(rq.handle.id, rq.method, rq.args);
-      tracer.CloseSpan(exec.token, core_.scheduler().Now(),
-                       monitor::SpanOutcome::kOk, hops);
-    } catch (const std::exception& e) {
-      tracer.CloseSpan(exec.token, core_.scheduler().Now(),
-                       monitor::SpanOutcome::kAppError, hops);
+    // Reply-less flow: mark the slot complete (with an empty cached reply —
+    // duplicates are dropped, not re-answered) and still shorten the
+    // chain; errors die here with a log line.
+    if (out.error)
       LogWarn() << "one-way invocation of " << rq.method << " failed: "
-                << e.what();
-    }
+                << sim::ErrorMessage(out.error);
     core_.replay().Complete(skey, net::MessageKind::kInvokeReply, {});
     // No reply carries this slot state into the log (Core::Reply logs the
     // two-way ones), so record it here: a recovered executor must keep
@@ -659,171 +717,31 @@ void InvocationUnit::ExecuteAndReply(const wire::InvokeRequest& rq,
     SendShorteningUpdates(rq, exec.ctx);
     return;
   }
-  serial::Writer w;
-  try {
-    Value result;
-    {
-      monitor::TraceScope scope(tracer, exec.ctx);
-      result = core_.DispatchLocal(rq.handle.id, rq.method, rq.args);
-    }
-    wire::WriteOk(w);
-    serial::WriteValue(w, result);
-    wire::WriteCoreId(w, core_.id());
-    w.WriteVarint(rq.path.size() + 1);  // hops traversed by the request
-    // Location hint epoch: how fresh "the target lives here" is. Stamped
-    // from our tracker *after* dispatch — if the method itself moved the
-    // target away, the entry is no longer local and the hint rides
-    // unstamped (epoch 0), so it cannot outrank the movement's publish.
-    {
-      const TrackerEntry* te = core_.trackers().Find(rq.handle.id);
-      w.WriteVarint(te != nullptr && te->is_local() ? te->hint_epoch : 0);
-    }
-    wire::WriteTraceTail(w, exec.ctx);
-    tracer.CloseSpan(exec.token, core_.scheduler().Now(),
-                     monitor::SpanOutcome::kOk, hops);
-  } catch (const std::exception& e) {
-    tracer.CloseSpan(exec.token, core_.scheduler().Now(),
-                     monitor::SpanOutcome::kAppError, hops);
-    serial::Writer err;
-    err.WriteBool(false);  // not ok
-    err.WriteBool(false);  // application error: the method DID run/throw
-    err.WriteString(e.what());
-    wire::WriteTraceTail(err, exec.ctx);
+  if (out.error) {
     // The method ran (and threw) — the error is the cached outcome, so the
     // reply carries the session key and completes the slot like a success.
     core_.Reply(rq.origin, net::MessageKind::kInvokeReply, correlation,
-                err.Take(), skey);
+                wire::EncodeInvokeReply(wire::InvokeReply::Error(
+                    /*transport=*/false, sim::ErrorMessage(out.error), exec.ctx)),
+                skey);
     return;
   }
+  wire::InvokeReply reply;
+  reply.value = std::move(out.value);
+  reply.location = core_.id();
+  reply.hops = rq.path.size() + 1;
+  // Location hint epoch: how fresh "the target lives here" is. Stamped from
+  // our tracker *after* the run — if the method (or the move) sent the
+  // target away, the entry is no longer local and the hint rides unstamped
+  // (epoch 0), so it cannot outrank the movement's publish.
+  const TrackerEntry* te = core_.trackers().Find(rq.handle.id);
+  reply.hint_epoch = te != nullptr && te->is_local() ? te->hint_epoch : 0;
+  reply.trace = exec.ctx;
   // Reply straight to the origin...
   core_.Reply(rq.origin, net::MessageKind::kInvokeReply, correlation,
-              w.Take(), skey);
-
+              wire::EncodeInvokeReply(reply), skey);
   // ...and shorten the whole chain (§3.1).
   SendShorteningUpdates(rq, exec.ctx);
-}
-
-sim::Future<sim::Unit> InvocationUnit::StartLocalMove(
-    const wire::InvokeRequest& rq, const wire::TraceContext& ctx) {
-  // Marshal + transition happen synchronously inside MoveLocalAsync, so
-  // invocations racing the stream park immediately; the returned future
-  // settles once the destination acknowledges (or the move rolls back).
-  try {
-    if (!core_.repository().Contains(rq.handle.id))
-      throw FargoError("complet " + ToString(rq.handle.id) +
-                       " is not hosted at " + core_.name());
-    CoreId dest{static_cast<std::uint32_t>(rq.args.at(0).AsInt())};
-    std::string continuation = rq.args.at(1).AsString();
-    std::vector<Value> cont_args = rq.args.at(2).AsList();
-    monitor::TraceScope scope(core_.tracer(), ctx);
-    return core_.movement().MoveLocalAsync(
-        rq.handle.id, dest, std::move(continuation), std::move(cont_args));
-  } catch (const UnreachableError& e) {
-    return sim::MakeErrorFuture<sim::Unit>(core_.scheduler(), e);
-  } catch (const std::exception& e) {
-    return sim::MakeErrorFuture<sim::Unit>(core_.scheduler(),
-                                           FargoError(e.what()));
-  }
-}
-
-void InvocationUnit::DispatchLocalMove(const std::shared_ptr<AsyncCall>& call) {
-  core_.inst_.execs->Inc();
-  sim::Future<sim::Unit> moved = StartLocalMove(call->req, call->root.ctx);
-  // No extra WAL barrier here (unlike the generic local dispatch): the
-  // movement protocol's own commit barriers gate the settle, so a resolved
-  // future already means the departure is as durable as this Core gets.
-  moved.OnSettle(
-      // fargolint: allow(capture-this) the unit lives inside its Core, which outlives the cleared event queue
-      [this, call](sim::Future<sim::Unit> f) {
-        if (f.ok()) {
-          FinalizeOk(call, InvokeResult{Value(), core_.id(), 0});
-          return;
-        }
-        try {
-          f.Take();
-        } catch (const UnreachableError&) {
-          FinalizeError(call, std::current_exception(),
-                        monitor::SpanOutcome::kTransportError);
-        } catch (...) {
-          FinalizeError(call, std::current_exception(),
-                        monitor::SpanOutcome::kAppError);
-        }
-      });
-}
-
-void InvocationUnit::ExecuteMoveAndReply(const wire::InvokeRequest& rq,
-                                         std::uint64_t correlation,
-                                         const net::SessionKey& skey,
-                                         const monitor::Tracer::Opened& exec,
-                                         int hops) {
-  sim::Future<sim::Unit> moved = StartLocalMove(rq, exec.ctx);
-  const std::uint64_t epoch_guard = core_.restart_epoch();
-  moved.OnSettle(
-      // fargolint: allow(capture-this) the unit lives inside its Core, which outlives the cleared event queue
-      [this, rq, correlation, skey, exec, hops,
-       epoch_guard](sim::Future<sim::Unit> f) {
-        if (!core_.alive() || core_.restart_epoch() != epoch_guard) return;
-        monitor::Tracer& tracer = core_.tracer();
-        std::string error;
-        if (!f.ok()) {
-          try {
-            f.Take();
-          } catch (const std::exception& e) {
-            error = e.what();
-          } catch (...) {
-            error = "move failed";
-          }
-        }
-        if (rq.oneway) {
-          // Reply-less flow, same contract as the generic oneway branch:
-          // complete the slot, log the exec record, ack, shorten; a failed
-          // move dies here with a log line.
-          tracer.CloseSpan(exec.token, core_.scheduler().Now(),
-                           f.ok() ? monitor::SpanOutcome::kOk
-                                  : monitor::SpanOutcome::kAppError,
-                           hops);
-          if (!f.ok())
-            LogWarn() << "one-way invocation of " << rq.method
-                      << " failed: " << error;
-          core_.replay().Complete(skey, net::MessageKind::kInvokeReply, {});
-          if (Wal* wal = core_.wal(); wal != nullptr && !wal->replaying())
-            wal->AppendExec(skey, net::MessageKind::kInvokeReply, {});
-          core_.AckSlotDurable(skey);
-          SendShorteningUpdates(rq, exec.ctx);
-          return;
-        }
-        if (!f.ok()) {
-          tracer.CloseSpan(exec.token, core_.scheduler().Now(),
-                           monitor::SpanOutcome::kAppError, hops);
-          serial::Writer err;
-          err.WriteBool(false);  // not ok
-          err.WriteBool(false);  // application error: the move DID run
-          err.WriteString(error);
-          wire::WriteTraceTail(err, exec.ctx);
-          core_.Reply(rq.origin, net::MessageKind::kInvokeReply, correlation,
-                      err.Take(), skey);
-          return;
-        }
-        serial::Writer w;
-        wire::WriteOk(w);
-        serial::WriteValue(w, Value());
-        wire::WriteCoreId(w, core_.id());
-        w.WriteVarint(rq.path.size() + 1);
-        // The move just sent the target away: the tracker entry is no longer
-        // local, so the hint rides unstamped (epoch 0) and cannot outrank
-        // the movement's own directory publish — same rule as the generic
-        // path's post-dispatch stamp.
-        {
-          const TrackerEntry* te = core_.trackers().Find(rq.handle.id);
-          w.WriteVarint(te != nullptr && te->is_local() ? te->hint_epoch : 0);
-        }
-        wire::WriteTraceTail(w, exec.ctx);
-        tracer.CloseSpan(exec.token, core_.scheduler().Now(),
-                         monitor::SpanOutcome::kOk, hops);
-        core_.Reply(rq.origin, net::MessageKind::kInvokeReply, correlation,
-                    w.Take(), skey);
-        SendShorteningUpdates(rq, exec.ctx);
-      });
 }
 
 void InvocationUnit::SendShorteningUpdates(const wire::InvokeRequest& rq,
@@ -864,17 +782,7 @@ void InvocationUnit::HandleReply(net::Message msg) {
     core_.inst_.late_replies->Inc();
     wire::TraceContext trace;
     try {
-      serial::Reader peek(msg.payload);
-      if (peek.ReadBool()) {
-        serial::ReadValue(peek);
-        wire::ReadCoreId(peek);
-        peek.ReadVarint();  // hops
-        peek.ReadVarint();  // hint epoch
-      } else {
-        peek.ReadBool();
-        peek.ReadString();
-      }
-      trace = wire::ReadTraceTail(peek);
+      trace = wire::DecodeInvokeReply(msg.payload).trace;
     } catch (...) {
       // Chaos-corrupted payload: drop it untraced.
     }
@@ -889,13 +797,9 @@ void InvocationUnit::HandleReply(net::Message msg) {
   std::shared_ptr<AsyncCall> call = it->second;
   sim::Scheduler& sched = core_.scheduler();
   sim::Scheduler::NoPumpScope no_pump(sched);
-  serial::Reader r(msg.payload);
-  if (r.ReadBool()) {
-    Value value = serial::ReadValue(r);
-    CoreId location = wire::ReadCoreId(r);
-    int reply_hops = static_cast<int>(r.ReadVarint());
-    std::uint64_t reply_epoch = r.ReadVarint();
-    (void)wire::ReadTraceTail(r);
+  wire::InvokeReply reply = wire::DecodeInvokeReply(msg.payload);
+  if (reply.ok) {
+    const int reply_hops = static_cast<int>(reply.hops);
     sched.Cancel(call->timer);
     waiters_.erase(call->corr);
     // The chain length this delivery actually experienced — the signal the
@@ -905,20 +809,20 @@ void InvocationUnit::HandleReply(net::Message msg) {
     // the Core that answered — unless the complet meanwhile arrived *here*
     // (MergeHint refuses local entries) or our hint already outranks the
     // reply's stamp (a newer movement published while it was in flight).
-    if (shortening_ && location.valid() && location != core_.id())
-      core_.trackers().MergeHint(call->req.handle.id, location, reply_epoch,
+    if (shortening_ && reply.location.valid() &&
+        reply.location != core_.id())
+      core_.trackers().MergeHint(call->req.handle.id, reply.location,
+                                 reply.hint_epoch,
                                  call->req.handle.anchor_type);
-    FinalizeOk(call, InvokeResult{std::move(value), location, reply_hops});
+    FinalizeOk(call, InvokeResult{std::move(reply.value), reply.location,
+                                  reply_hops});
     return;
   }
-  const bool transport_failure = r.ReadBool();
-  std::string error = r.ReadString();
-  (void)wire::ReadTraceTail(r);
-  if (!transport_failure) {
+  if (!reply.transport) {
     // Application error: the anchor's own exception — never retried.
     sched.Cancel(call->timer);
     waiters_.erase(call->corr);
-    FinalizeError(call, std::make_exception_ptr(FargoError(error)),
+    FinalizeError(call, std::make_exception_ptr(FargoError(reply.error)),
                   monitor::SpanOutcome::kAppError);
     return;
   }
@@ -929,7 +833,8 @@ void InvocationUnit::HandleReply(net::Message msg) {
     return;
   }
   waiters_.erase(call->corr);
-  FinalizeError(call, std::make_exception_ptr(UnreachableError(error)),
+  FinalizeError(call,
+                std::make_exception_ptr(UnreachableError(reply.error)),
                 monitor::SpanOutcome::kTransportError);
 }
 

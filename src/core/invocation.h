@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <exception>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -87,7 +88,6 @@ class InvocationUnit {
   /// Ablation switch: disables automatic chain shortening (§3.1) at this
   /// Core — no origin repoint, no TrackerUpdate fan-out when executing.
   void SetChainShortening(bool on) { shortening_ = on; }
-  bool chain_shortening() const { return shortening_; }
 
  private:
   /// One origin-side invocation in flight: a stable heap record shared by
@@ -128,15 +128,29 @@ class InvocationUnit {
                                       const std::string& method,
                                       std::vector<Value> args);
 
+  /// What the run step hands to the conclude step.
+  struct Outcome {
+    Value value;
+    std::exception_ptr error;  ///< null: the method returned `value`
+    /// Valid when the run only started an async move (__fargo.move): the
+    /// outcome is then concluded from this future's settle.
+    sim::Future<sim::Unit> move;
+  };
+
+  /// The run step every executor shares: runs `method` on the complet
+  /// hosted here, inside trace context `ctx`. An application method (or
+  /// ping/methods) runs to completion; __fargo.move only starts the move.
+  Outcome Run(ComletId target, const std::string& method,
+              const std::vector<Value>& args, const wire::TraceContext& ctx);
+  /// Starts a hosted complet's async move from __fargo.move's arguments;
+  /// argument errors and a vanished target come back as a rejected future.
+  sim::Future<sim::Unit> StartMove(ComletId target,
+                                   const std::vector<Value>& args);
+
+  /// Origin side of a call whose target is hosted here: run, then conclude
+  /// into the call's future (ConcludeLocal).
   void DispatchLocalCall(const std::shared_ptr<AsyncCall>& call);
-  /// Origin-side twin of ExecuteMoveAndReply: a kMoveMethod call whose
-  /// target is hosted right here runs through MoveLocalAsync and settles
-  /// from the continuation.
-  void DispatchLocalMove(const std::shared_ptr<AsyncCall>& call);
-  /// Decodes a routed __fargo.move request and starts the movement; decode
-  /// errors and a vanished target come back as a rejected future.
-  sim::Future<sim::Unit> StartLocalMove(const wire::InvokeRequest& rq,
-                                        const wire::TraceContext& ctx);
+  void ConcludeLocal(const std::shared_ptr<AsyncCall>& call, Outcome&& out);
   void AwaitRoute(const std::shared_ptr<AsyncCall>& call, SimTime deadline);
   void ResumeAfterRoute(const std::shared_ptr<AsyncCall>& call,
                         SimTime deadline);
@@ -169,18 +183,18 @@ class InvocationUnit {
   void ForwardRequest(wire::InvokeRequest rq, const net::Message& msg,
                       TrackerEntry& entry);
 
+  /// Executor side of a routed request: opens the exec span, runs, and
+  /// concludes (Conclude) — inline, or from a move's settle when the Core
+  /// has not restarted meanwhile.
   void ExecuteAndReply(const wire::InvokeRequest& rq,
                        std::uint64_t correlation,
                        const net::SessionKey& skey);
-  /// Executor side of a routed __fargo.move: runs the movement through
-  /// MoveLocalAsync and sends the reply (or the oneway slot bookkeeping)
-  /// from its settle continuation. Executor handlers are non-blocking state
-  /// machines — under FARGO_PARALLEL a nested pump inside a locality worker
-  /// would deadlock the round barrier — so the move must not block here.
-  void ExecuteMoveAndReply(const wire::InvokeRequest& rq,
-                           std::uint64_t correlation,
-                           const net::SessionKey& skey,
-                           const monitor::Tracer::Opened& exec, int hops);
+  /// Executor conclude step: closes the exec span, then either completes a
+  /// one-way slot (exec record, SlotAck) or replies to the origin; shortens
+  /// the chain unless a two-way call failed.
+  void Conclude(const wire::InvokeRequest& rq, std::uint64_t correlation,
+                const net::SessionKey& skey,
+                const monitor::Tracer::Opened& exec, Outcome&& out);
   void SendShorteningUpdates(const wire::InvokeRequest& rq,
                              const wire::TraceContext& ctx);
 

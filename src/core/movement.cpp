@@ -373,14 +373,9 @@ sim::Future<sim::Unit> MovementUnit::MoveLocalAsync(ComletId primary,
         for (ComletId id : pending->pulls) {
           core_.MoveIdAsync(id, dest).OnSettle(
               [done, remaining, id](sim::Future<sim::Unit> pf) mutable {
-                if (!pf.ok()) {
-                  try {
-                    std::rethrow_exception(pf.error());
-                  } catch (const std::exception& e) {
-                    LogWarn() << "deferred pull of " << ToString(id)
-                              << " failed: " << e.what();
-                  }
-                }
+                if (!pf.ok())
+                  LogWarn() << "deferred pull of " << ToString(id)
+                            << " failed: " << sim::ErrorMessage(pf.error());
                 if (--*remaining == 0) done.Resolve(sim::Unit{});
               });
         }

@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/ids.h"
@@ -172,6 +173,65 @@ inline InvokeRequest DecodeInvokeRequest(
   rq.hint_epoch = r.ReadVarint();
   rq.trace = ReadTraceTail(r);
   return rq;
+}
+
+/// An invocation's answer to its origin (kInvokeReply payload). `ok`
+/// selects the shape: a result (value, answering host, hops, hint epoch)
+/// or an error (transport flag, message). Every kInvokeReply is one of
+/// these, except the empty reply a one-way invocation caches for its slot.
+struct InvokeReply {
+  bool ok = true;
+  Value value;
+  CoreId location;  ///< the Core that executed the request
+  std::uint64_t hops = 0;  ///< hops the request traversed to get there
+  /// How fresh "the target lives at `location`" is (0 = unstamped: the
+  /// target left during the call, so the hint must not outrank a publish).
+  std::uint64_t hint_epoch = 0;
+  /// Error only: true = the request never executed (retry-safe), false =
+  /// the method ran and threw.
+  bool transport = false;
+  std::string error;
+  TraceContext trace;
+
+  static InvokeReply Error(bool transport, std::string error,
+                           const TraceContext& trace) {
+    return {false, Value(), CoreId{}, 0, 0, transport, std::move(error), trace};
+  }
+
+  friend bool operator==(const InvokeReply&, const InvokeReply&) = default;
+};
+
+inline std::vector<std::uint8_t> EncodeInvokeReply(const InvokeReply& rp) {
+  serial::Writer w;
+  w.WriteBool(rp.ok);
+  if (rp.ok) {
+    serial::WriteValue(w, rp.value);
+    WriteCoreId(w, rp.location);
+    w.WriteVarint(rp.hops);
+    w.WriteVarint(rp.hint_epoch);
+  } else {
+    w.WriteBool(rp.transport);
+    w.WriteString(rp.error);
+  }
+  WriteTraceTail(w, rp.trace);
+  return w.Take();
+}
+
+inline InvokeReply DecodeInvokeReply(const std::vector<std::uint8_t>& payload) {
+  serial::Reader r(payload);
+  InvokeReply rp;
+  rp.ok = r.ReadBool();
+  if (rp.ok) {
+    rp.value = serial::ReadValue(r);
+    rp.location = ReadCoreId(r);
+    rp.hops = r.ReadVarint();
+    rp.hint_epoch = r.ReadVarint();
+  } else {
+    rp.transport = r.ReadBool();
+    rp.error = r.ReadString();
+  }
+  rp.trace = ReadTraceTail(r);
+  return rp;
 }
 
 // ==== directory plane ========================================================

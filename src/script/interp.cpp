@@ -3,6 +3,7 @@
 #include <cstdio>
 
 #include "src/common/log.h"
+#include "src/core/invocation.h"
 #include "src/monitor/events.h"
 #include "src/monitor/probe.h"
 
@@ -93,6 +94,12 @@ CoreId Engine::ToCore(const Value& v) {
     return c->id();
   }
   if (v.IsHandle()) {
+    // Locating a complet waits for a ping round trip, which a rule body
+    // must not do (MoveFromRule locates a move destination asynchronously).
+    if (in_rule_body_)
+      throw ScriptError(
+          "a rule body can only use a complet's location as a move "
+          "destination");
     core::ComletRefBase ref = admin_.RefFromHandle(v.AsHandle());
     return admin_.ResolveLocation(ref);
   }
@@ -183,34 +190,12 @@ Value Engine::Eval(const Expr& e, const Env& env) {
 void Engine::Execute(const Command& cmd, Env& env) {
   switch (cmd.kind) {
     case Command::Kind::kMove: {
-      const CoreId dest = ToCore(Eval(*cmd.dest, env));
-      for (const ComletHandle& h : ToComlets(Eval(*cmd.subject, env))) {
-        try {
-          core::ComletRefBase ref = admin_.RefFromHandle(h);
-          if (in_rule_body_) {
-            admin_.MoveAsync(ref, dest)
-                .OnSettle([this, alive = alive_,
-                           id = h.id](sim::Future<sim::Unit> f) {
-                  if (f.ok()) {
-                    if (*alive) ++moves_executed_;
-                    return;
-                  }
-                  try {
-                    std::rethrow_exception(f.error());
-                  } catch (const std::exception& e) {
-                    LogWarn() << "script move of " << ToString(id)
-                              << " failed: " << e.what();
-                  }
-                });
-          } else {
-            admin_.Move(ref, dest);
-            ++moves_executed_;
-          }
-        } catch (const std::exception& e) {
-          LogWarn() << "script move of " << ToString(h.id) << " failed: "
-                    << e.what();
-        }
+      if (in_rule_body_) {
+        MoveFromRule(cmd, env);
+        return;
       }
+      const CoreId dest = ToCore(Eval(*cmd.dest, env));
+      MoveAll(ToComlets(Eval(*cmd.subject, env)), dest, /*async=*/false);
       return;
     }
     case Command::Kind::kLog: {
@@ -227,6 +212,56 @@ void Engine::Execute(const Command& cmd, Env& env) {
       for (const ExprPtr& a : cmd.args) args.push_back(Eval(*a, env));
       it->second(*this, args);
       return;
+    }
+  }
+}
+
+void Engine::MoveFromRule(const Command& cmd, Env& env) {
+  // A complet-valued destination (`coreOf $c`, or `$c` itself) is located
+  // by an async ping, and the moves chain on its settle.
+  const Expr& dest =
+      cmd.dest->kind == Expr::Kind::kCoreOf ? *cmd.dest->base : *cmd.dest;
+  const Value where = Eval(dest, env);
+  std::vector<ComletHandle> subjects = ToComlets(Eval(*cmd.subject, env));
+  if (!where.IsHandle()) {
+    MoveAll(subjects, ToCore(where), /*async=*/true);
+    return;
+  }
+  admin_.invocation()
+      .InvokeAsync(where.AsHandle(), core::kPingMethod, {})
+      .OnSettle([this, alive = alive_, id = where.AsHandle().id,
+                 subjects = std::move(subjects)](
+                    sim::Future<core::InvokeResult> f) {
+        if (!*alive) return;
+        if (f.ok())
+          MoveAll(subjects, f.value().location, /*async=*/true);
+        else
+          LogWarn() << "script move to coreOf " << ToString(id)
+                    << " failed: " << sim::ErrorMessage(f.error());
+      });
+}
+
+void Engine::MoveAll(const std::vector<ComletHandle>& subjects, CoreId dest,
+                     bool async) {
+  for (const ComletHandle& h : subjects) {
+    try {
+      core::ComletRefBase ref = admin_.RefFromHandle(h);
+      if (!async) {
+        admin_.Move(ref, dest);
+        ++moves_executed_;
+        continue;
+      }
+      admin_.MoveAsync(ref, dest).OnSettle(
+          [this, alive = alive_, id = h.id](sim::Future<sim::Unit> f) {
+            if (!f.ok())
+              LogWarn() << "script move of " << ToString(id)
+                        << " failed: " << sim::ErrorMessage(f.error());
+            else if (*alive)
+              ++moves_executed_;
+          });
+    } catch (const std::exception& e) {
+      LogWarn() << "script move of " << ToString(h.id) << " failed: "
+                << e.what();
     }
   }
 }

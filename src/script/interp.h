@@ -62,7 +62,8 @@ class Engine {
 
   // -- value coercions (used by Eval and by native actions) --------------------
   /// Accepts a core id (int), a core name (string), or a complet handle
-  /// (meaning coreOf).
+  /// (meaning coreOf; it waits for a ping round trip, so a rule body may
+  /// not pass one — there it throws ScriptError).
   CoreId ToCore(const Value& v);
   /// Accepts a single handle or a list of handles.
   std::vector<ComletHandle> ToComlets(const Value& v) const;
@@ -79,6 +80,11 @@ class Engine {
 
   Value Eval(const Expr& e, const Env& env);
   void Execute(const Command& cmd, Env& env);
+  /// A rule body's `move`: never waits. A complet-valued destination is
+  /// located by an async ping before the moves start.
+  void MoveFromRule(const Command& cmd, Env& env);
+  void MoveAll(const std::vector<ComletHandle>& subjects, CoreId dest,
+               bool async);
   void ExecuteBody(const Rule& rule, Env env);
   void AttachRule(const Rule& rule);
 
@@ -97,7 +103,8 @@ class Engine {
   /// True while a rule body runs. Rule bodies fire from monitor listeners —
   /// inside scheduled events, often mid-commit of the very move or
   /// invocation that raised the event — so their `move` commands go through
-  /// MoveAsync instead of blocking the listener on a pumped round-trip.
+  /// MoveAsync (after an async ping for a complet-valued destination)
+  /// instead of blocking the listener on a pumped round-trip.
   bool in_rule_body_ = false;
 };
 

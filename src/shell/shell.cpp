@@ -236,12 +236,8 @@ void Shell::CmdAMove(const std::vector<std::string>& args) {
                << "\n";
           return;
         }
-        try {
-          std::rethrow_exception(f.error());
-        } catch (const std::exception& e) {
-          out_ << "amove: " << ToString(target) << " failed: " << e.what()
-               << "\n";
-        }
+        out_ << "amove: " << ToString(target)
+             << " failed: " << sim::ErrorMessage(f.error()) << "\n";
       });
   out_ << "amove: " << ToString(target) << " -> " << dest_name
        << " started\n";

@@ -318,6 +318,17 @@ Future<T> MakeErrorFuture(Scheduler& sched, E error) {
   return p.future();
 }
 
+/// The message of a settlement error, for logging a rejected future.
+inline std::string ErrorMessage(const std::exception_ptr& error) {
+  try {
+    std::rethrow_exception(error);
+  } catch (const std::exception& e) {
+    return e.what();
+  } catch (...) {
+    return "unknown error";
+  }
+}
+
 /// Pumps `sched` until `f` settles, then returns the value or rethrows the
 /// settlement error — the single place blocking-RPC semantics live now.
 /// Every async pipeline arms deadline tasks for its failure paths, so the

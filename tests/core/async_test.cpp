@@ -247,6 +247,53 @@ TEST_P(EngineTest, LocalOnewayMoveNeverPumps) {
   EXPECT_EQ(log.find("failed"), std::string::npos) << log;
 }
 
+TEST_P(EngineTest, RoutedOnewayMoveConcludesLikeAnyOneway) {
+  // A one-way __fargo.move posted from a Core that does not host the
+  // complet is routed to its host, runs there as one exec, and hands the
+  // origin's session slot back by SlotAck once the move settles — long
+  // before the origin's local fallback (one RPC timeout) would.
+  auto cores = MakeCores(3, Millis(10));
+  auto counter = cores[1]->New<Counter>();
+  auto remote = cores[0]->RefTo<Counter>(counter.handle());
+  const std::uint64_t execs = rt.metrics().CounterValue("invoke.exec");
+  remote.Post(std::string(core::kMoveMethod),
+              {Value(static_cast<std::int64_t>(cores[2]->id().value)),
+               Value(std::string()), Value(Value::List{})});
+  EXPECT_EQ(cores[0]->sessions().slots_in_flight(), 1u);
+  rt.RunFor(Seconds(1));
+
+  EXPECT_TRUE(cores[2]->repository().Contains(counter.target()));
+  EXPECT_FALSE(cores[1]->repository().Contains(counter.target()));
+  EXPECT_EQ(rt.metrics().CounterValue("invoke.exec"), execs + 1);
+  EXPECT_EQ(cores[0]->sessions().slots_in_flight(), 0u);
+  EXPECT_EQ(rt.scheduler().MaxPumpDepth(), 1);
+}
+
+TEST_P(EngineTest, RoutedOnewayMoveToACrashedCoreFailsOnce) {
+  // The move rolls back at the host: the complet stays home, the failure
+  // is logged once (the one-way's only outcome), and the slot still comes
+  // back to the origin.
+  auto cores = MakeCores(3, Millis(10));
+  cores[1]->SetRpcTimeout(Millis(200));
+  auto counter = cores[1]->New<Counter>();
+  auto remote = cores[0]->RefTo<Counter>(counter.handle());
+  cores[2]->Crash();
+  ::testing::internal::CaptureStderr();
+  remote.Post(std::string(core::kMoveMethod),
+              {Value(static_cast<std::int64_t>(cores[2]->id().value)),
+               Value(std::string()), Value(Value::List{})});
+  rt.RunFor(Seconds(5));
+  const std::string log = ::testing::internal::GetCapturedStderr();
+
+  EXPECT_TRUE(cores[1]->repository().Contains(counter.target()));
+  const std::string line = "one-way invocation of __fargo.move failed";
+  const std::size_t first = log.find(line);
+  ASSERT_NE(first, std::string::npos) << log;
+  EXPECT_EQ(log.find(line, first + 1), std::string::npos) << log;
+  EXPECT_EQ(cores[0]->sessions().slots_in_flight(), 0u);
+  EXPECT_EQ(counter.Invoke<std::int64_t>("increment"), 1);
+}
+
 INSTANTIATE_TEST_SUITE_P(Engines, EngineTest, ::testing::Values(0, 2),
                          [](const ::testing::TestParamInfo<int>& info) {
                            return info.param == 0

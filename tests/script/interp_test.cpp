@@ -11,9 +11,15 @@ namespace {
 using script::Engine;
 using script::ScriptError;
 
-// Script rule commands (move, invoke) block by definition — the DSL is a
-// conductor-side synchronous layer, so the whole suite is sim-pinned.
-class InterpTest : public FargoSimTest {};
+// Top-level script commands block like any conductor-side call; rule
+// bodies never do (their moves run async, a complet-valued destination is
+// located by an async ping), so the suite runs under either engine.
+class InterpTest : public FargoTest {};
+
+// Worker::work makes a nested synchronous call from inside a complet
+// method, an idiom only the sim engine permits (a locality worker may not
+// pump); the tests that drive the application through it are sim-pinned.
+class InterpSimTest : public FargoSimTest {};
 
 TEST_F(InterpTest, AssignmentsAndArgsBind) {
   auto cores = MakeCores(1);
@@ -125,7 +131,7 @@ TEST_F(InterpTest, ReliabilityRuleEvacuatesOnShutdown) {
   EXPECT_EQ(engine.rule_firings(), 2u);
 }
 
-TEST_F(InterpTest, PerformanceRuleColocatesChattyComplets) {
+TEST_F(InterpSimTest, PerformanceRuleColocatesChattyComplets) {
   // Paper rule 2: on methodInvokeRate(3) from $comps[0] to $comps[1] do
   //                 move $comps[0] to coreOf $comps[1] end
   auto cores = MakeCores(3);  // admin, source host, target host
@@ -153,7 +159,7 @@ TEST_F(InterpTest, PerformanceRuleColocatesChattyComplets) {
   EXPECT_GE(engine.rule_firings(), 1u);
 }
 
-TEST_F(InterpTest, PaperScriptVerbatim) {
+TEST_F(InterpSimTest, PaperScriptVerbatim) {
   // The exact script of §4.3 (both rules), with %1 %2 %3 arguments.
   const std::string paper = R"(
 $coreList = %1
@@ -202,6 +208,81 @@ end
   auto survivor = cores[3]->RefFromHandle(
       ComletHandle{worker.target(), cores[3]->id(), "test.Worker"});
   EXPECT_EQ(survivor.Call("work").AsInt(), 100);
+}
+
+/// Runs under both engines whatever FARGO_PARALLEL says: 0 = sim, 2 = two
+/// locality workers.
+class InterpEngineTest : public FargoTest,
+                         public ::testing::WithParamInterface<int> {
+ protected:
+  InterpEngineTest() : FargoTest(GetParam()) {}
+};
+
+TEST_P(InterpEngineTest, PerformanceRuleBodyNeverPumps) {
+  // Paper rule 2 fires inside the event handler that delivers the rate
+  // notification. Its destination `coreOf $comps[1]` must be located by an
+  // async ping: a blocking one nests the pump (sim) or throws on a
+  // locality worker (parallel), and then the worker never moves.
+  auto cores = MakeCores(3);  // admin, source host, target host
+  auto worker = cores[1]->New<Worker>();
+  auto data = cores[2]->New<Data>(std::size_t{100});
+  worker.Call("bind", {Value(data.handle())});
+
+  Engine engine(rt, *cores[0]);
+  engine.Run(
+      "$comps = %1\n"
+      "on methodInvokeRate(3) from $comps[0] to $comps[1] every 0.5 do\n"
+      "  move $comps[0] to coreOf $comps[1]\n"
+      "end",
+      {Value(Value::List{Value(worker.handle()), Value(data.handle())})});
+
+  // ~10 invocations/second through the worker's own reference to its data
+  // (profiled as worker -> data), issued at top level rather than through
+  // Worker::work's nested call. Bounded pumping: the sampler never idles.
+  for (int i = 0; i < 40; ++i) {
+    for (core::Core* c : cores) {
+      auto anchor = c->repository().Get(worker.target());
+      if (!anchor) continue;
+      static_cast<Worker&>(*anchor).data().Call("read");
+      break;
+    }
+    rt.RunFor(Millis(100));
+  }
+  rt.RunFor(Seconds(1));
+  EXPECT_TRUE(cores[2]->repository().Contains(worker.target()));
+  EXPECT_GE(engine.rule_firings(), 1u);
+  EXPECT_GE(engine.moves_executed(), 1u);
+  EXPECT_EQ(rt.scheduler().MaxPumpDepth(), 1);
+}
+
+INSTANTIATE_TEST_SUITE_P(Engines, InterpEngineTest, ::testing::Values(0, 2),
+                         [](const ::testing::TestParamInfo<int>& info) {
+                           return info.param == 0
+                                      ? std::string("Sim")
+                                      : "Parallel" + std::to_string(info.param);
+                         });
+
+TEST_F(InterpTest, RuleBodyCannotWaitForAComletsLocation) {
+  // Outside a move destination, a complet's location would need a blocking
+  // ping inside the rule body: the command fails instead, and the next one
+  // still runs.
+  auto cores = MakeCores(3);
+  auto msg = cores[1]->New<Message>("m");
+  Engine engine(rt, *cores[0]);
+  engine.SetVar("m", Value(msg.handle()));
+  ::testing::internal::CaptureStderr();
+  engine.Run(
+      "on shutdown firedby $c listenAt core2 do\n"
+      "  move completsIn coreOf $m to core0\n"
+      "  move $m to core0\n"
+      "end");
+  cores[2]->Shutdown(Millis(200));
+  rt.RunUntilIdle();
+  const std::string log = ::testing::internal::GetCapturedStderr();
+  EXPECT_NE(log.find("move destination"), std::string::npos) << log;
+  EXPECT_TRUE(cores[0]->repository().Contains(msg.target()));
+  EXPECT_EQ(engine.moves_executed(), 1u);
+  EXPECT_EQ(rt.scheduler().MaxPumpDepth(), 1);
 }
 
 TEST_F(InterpTest, BuiltinRetypeActionChangesReferenceSemantics) {

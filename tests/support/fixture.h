@@ -57,8 +57,9 @@ class FargoTest : public ::testing::Test {
 
 /// Pinned to the deterministic sim engine regardless of FARGO_PARALLEL.
 /// For tests whose *workload* uses the blocking in-handler idiom — nested
-/// synchronous Invoke from a comlet method, script rule commands, listeners
-/// that move complets synchronously. The locality engine rejects those by
+/// synchronous Invoke from a comlet method, listeners that move complets
+/// synchronously (script rule bodies never block, so they need no pin).
+/// The locality engine rejects those by
 /// design (handlers are non-blocking state machines; a worker pump throws),
 /// so the idiom itself is sim-only. See DESIGN.md §localities.
 class FargoSimTest : public FargoTest {

@@ -1406,6 +1406,37 @@ Ping ReadPing(Reader& r) {
   EXPECT_NE(doc_before, doc_after);
 }
 
+TEST(Schema, SameNameRowsInOneFileSortByEncoder) {
+  // Two codec pairs of one message in one file tie on (name, file); the
+  // encoder name orders them, whatever order the file declares them in.
+  const std::string src = R"(void WritePing(Writer& w, const Ping& p) {
+  w.WriteVarint(p.seq);
+}
+Ping ReadPing(Reader& r) {
+  Ping p;
+  p.seq = r.ReadVarint();
+  return p;
+}
+Bytes EncodePing(const Ping& p) {
+  Writer w;
+  w.WriteU8(p.seq);
+  return w.Take();
+}
+Ping DecodePing(const Bytes& b) {
+  Reader r(b);
+  Ping p;
+  p.seq = r.ReadU8();
+  return p;
+}
+)";
+  const std::string doc = ExtractWireSchema({SourceFile{"src/net/wire.h", src}});
+  const std::size_t encode = doc.find("\"encoder\": \"EncodePing\"");
+  const std::size_t write = doc.find("\"encoder\": \"WritePing\"");
+  ASSERT_NE(encode, std::string::npos) << doc;
+  ASSERT_NE(write, std::string::npos) << doc;
+  EXPECT_LT(encode, write) << doc;
+}
+
 TEST(Schema, UnpairedCodecsAndValuelessEnumsDegradeGracefully) {
   const std::string src = R"(enum class Mode { kAuto = kDefaultMode, kManual };
 void WriteLone(Writer& w, const L& x) {

@@ -113,9 +113,14 @@ std::string ExtractWireSchema(const std::vector<SourceFile>& files) {
     msgs.push_back({c.suffix, c.verb + c.suffix,
                     SchemaPath(idx.files[c.file].src->path), &c});
   }
+  // (name, file) can tie — value_codec.cpp pairs both EncodeValue and
+  // WriteValue as "Value" — so the encoder breaks it; std::sort is not
+  // stable, and without the third key the rows' order would follow
+  // whatever the index happened to collect first.
   std::sort(msgs.begin(), msgs.end(), [](const MsgRow& a, const MsgRow& b) {
     if (a.name != b.name) return a.name < b.name;
-    return a.file < b.file;
+    if (a.file != b.file) return a.file < b.file;
+    return a.encoder < b.encoder;
   });
   os << "  \"messages\": [\n";
   for (std::size_t i = 0; i < msgs.size(); ++i) {
