@@ -9,11 +9,12 @@
 // BENCH_<name>.json through the Report class below, with two metric
 // classes —
 //   deterministic  virtual-time/count metrics (simulated ns, messages,
-//                  bytes on the wire, scheduler tasks, serializer
-//                  allocations, payload bytes copied). The simulation is
-//                  single-threaded and seed-deterministic, so these are
-//                  bit-identical across machines AND compilers; CI gates
-//                  them with zero tolerance (tools/benchgate).
+//                  bytes on the wire, scheduler tasks, serializer and
+//                  heap allocations, payload bytes copied). The
+//                  simulation is single-threaded and seed-deterministic,
+//                  so these are bit-identical across machines AND
+//                  compilers (heap allocations: for one standard library);
+//                  CI gates them with zero tolerance (tools/benchgate).
 //   wallclock      host-clock measurements. Recorded for the curious,
 //                  never gated — wall time is not reproducible.
 // Run with FARGO_BENCH_DETERMINISTIC=1 to skip the wall-clock sections
@@ -37,6 +38,10 @@ using testing::Message;
 using testing::Node;
 using testing::Printer;
 using testing::Worker;
+
+/// Heap allocations (global operator new) made so far by this process:
+/// bench/heap_count.cpp replaces operator new in every bench binary.
+std::uint64_t HeapAllocs();
 
 /// Prints a table header: "| col | col |" with a separator row.
 inline void TableHeader(const std::vector<std::string>& cols) {
@@ -148,6 +153,7 @@ class Report {
 ///   <prefix>.sched_tasks  scheduler events executed
 ///   <prefix>.allocs       serializer buffer allocations (alloc.count)
 ///   <prefix>.bytes_copied payload bytes copied instead of moved
+///   <prefix>.heap_allocs  heap allocations, every layer (HeapAllocs)
 class Section {
  public:
   Section(Report& report, World& world, std::string prefix)
@@ -159,9 +165,11 @@ class Section {
     tasks_ = world_.rt.scheduler().executed();
     allocs_ = world_.rt.metrics().CounterValue("alloc.count");
     copied_ = world_.rt.metrics().CounterValue("net.bytes_copied");
+    heap_allocs_ = HeapAllocs();  // last: the reads above may allocate
   }
 
   void Commit() {
+    const std::uint64_t heap_allocs = HeapAllocs();  // before the Gate()s
     world_.rt.SyncSerialStats();
     const monitor::Registry& reg = world_.rt.metrics();
     report_.Gate(prefix_ + ".sim_ns",
@@ -176,6 +184,7 @@ class Section {
                  reg.CounterValue("alloc.count") - allocs_);
     report_.Gate(prefix_ + ".bytes_copied",
                  reg.CounterValue("net.bytes_copied") - copied_);
+    report_.Gate(prefix_ + ".heap_allocs", heap_allocs - heap_allocs_);
   }
 
  private:
@@ -183,7 +192,8 @@ class Section {
   World& world_;
   std::string prefix_;
   SimTime sim_ns_ = 0;
-  std::uint64_t msgs_ = 0, bytes_ = 0, tasks_ = 0, allocs_ = 0, copied_ = 0;
+  std::uint64_t msgs_ = 0, bytes_ = 0, tasks_ = 0, allocs_ = 0, copied_ = 0,
+                heap_allocs_ = 0;
 };
 
 }  // namespace fargo::bench

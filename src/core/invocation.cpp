@@ -117,7 +117,10 @@ sim::Future<InvokeResult> InvocationUnit::StartCall(
   } else {
     BeginRemote(call);
   }
-  return call->promise.future();
+  // The future shares ownership of the whole call record.
+  return sim::Future<InvokeResult>(
+      std::shared_ptr<sim::detail::FutureState<InvokeResult>>(call,
+                                                              &call->state));
 }
 
 void InvocationUnit::DispatchLocalCall(const std::shared_ptr<AsyncCall>& call) {
@@ -190,7 +193,7 @@ void InvocationUnit::AwaitRoute(const std::shared_ptr<AsyncCall>& call,
       waits.erase(std::remove(waits.begin(), waits.end(), wait), waits.end());
       if (waits.empty()) route_waiters_.erase(it);
     }
-    if (wait->call->promise.settled()) return;
+    if (wait->call->state.settled) return;
     FinalizeError(wait->call,
                   std::make_exception_ptr(UnreachableError(
                       "invocation target " + ToString(id) +
@@ -225,7 +228,7 @@ void InvocationUnit::NotifyRouteChanged(ComletId id) {
 
 void InvocationUnit::ResumeAfterRoute(const std::shared_ptr<AsyncCall>& call,
                                       SimTime deadline) {
-  if (call->promise.settled()) return;
+  if (call->state.settled) return;
   TrackerEntry* entry = core_.trackers().Find(call->req.handle.id);
   if (entry == nullptr ||
       (!entry->is_local() &&
@@ -274,14 +277,14 @@ void InvocationUnit::BeginRemote(const std::shared_ptr<AsyncCall>& call) {
         // fargolint: allow(capture-this) the unit lives inside its Core, which outlives the cleared event queue
         [this, call, epoch](sim::Future<sim::Unit>) {
           if (!core_.alive() || core_.restart_epoch() != epoch) {
-            if (!call->promise.settled())
+            if (!call->state.settled)
               FinalizeError(call,
                             std::make_exception_ptr(UnreachableError(
                                 "core restarted before its identity barrier")),
                             monitor::SpanOutcome::kTransportError);
             return;
           }
-          if (!call->promise.settled()) SendAttempt(call);
+          if (!call->state.settled) SendAttempt(call);
         });
     return;
   }
@@ -370,7 +373,7 @@ void InvocationUnit::SendAttempt(const std::shared_ptr<AsyncCall>& call) {
 }
 
 void InvocationUnit::OnAttemptTimeout(const std::shared_ptr<AsyncCall>& call) {
-  if (call->promise.settled()) return;
+  if (call->state.settled) return;
   if (call->attempt < call->max_attempts) {
     ArmBackoffResend(call);
     return;
@@ -391,7 +394,7 @@ void InvocationUnit::ArmBackoffResend(const std::shared_ptr<AsyncCall>& call) {
       core_.retry_policy().BackoffAfter(call->attempt, call->corr),
       // fargolint: allow(capture-this) the unit lives inside its Core, which outlives the cleared event queue
       [this, call] {
-        if (!call->promise.settled()) SendAttempt(call);
+        if (!call->state.settled) SendAttempt(call);
       });
 }
 
@@ -406,7 +409,7 @@ void InvocationUnit::FinalizeOk(const std::shared_ptr<AsyncCall>& call,
   core_.inst_.invocations->Inc();
   core_.inst_.invoke_latency->Observe(static_cast<double>(now - call->begin));
   core_.inst_.invoke_hops->Observe(static_cast<double>(res.hops));
-  call->promise.Resolve(std::move(res));
+  call->state.SettleValue(std::move(res));
 }
 
 void InvocationUnit::FinalizeError(const std::shared_ptr<AsyncCall>& call,
@@ -415,7 +418,7 @@ void InvocationUnit::FinalizeError(const std::shared_ptr<AsyncCall>& call,
   core_.sessions().Release(call->skey);
   core_.inst_.invoke_errors->Inc();
   core_.tracer().CloseSpan(call->root.token, core_.scheduler().Now(), outcome);
-  call->promise.Reject(std::move(error));
+  call->state.SettleError(std::move(error));
 }
 
 // ==== oneway =================================================================

@@ -2,11 +2,12 @@
 // through tracker chains to the target anchor, implements the parameter
 // passing scheme, and shortens chains on return.
 //
-// Invocations run as an explicit asynchronous state machine: each remote
-// call is a heap-allocated AsyncCall record driven entirely by scheduled
-// continuations (send → timeout → backoff → resend → reply), never by
-// re-entrant scheduler pumps. The synchronous Invoke is a thin wrapper that
-// pumps the scheduler at top level until the call's future settles.
+// Invocations run as an explicit asynchronous state machine: each call is
+// one heap-allocated AsyncCall record, which embeds the state of the future
+// the caller holds, driven entirely by scheduled continuations (send →
+// timeout → backoff → resend → reply), never by re-entrant scheduler pumps.
+// The synchronous Invoke is a thin wrapper that pumps the scheduler at top
+// level until the call's future settles.
 #pragma once
 
 #include <cstdint>
@@ -95,14 +96,17 @@ class InvocationUnit {
   /// bookkeeping survives map rehashes (nested invocations insert into the
   /// same map) and late replies can be told apart from live ones.
   struct AsyncCall {
-    explicit AsyncCall(sim::Scheduler& s) : promise(s) {}
+    explicit AsyncCall(sim::Scheduler& s) { state.sched = &s; }
     /// The invocation as it will travel the wire, built ONCE per call:
     /// attempts mutate only `req.trace` and `req.handle.last_known` in
     /// place, so resends never re-copy the method name or the argument
     /// values (they used to, per attempt). Local dispatch reads the same
     /// fields, so the record is also the single owner of handle/method/args.
     wire::InvokeRequest req;
-    sim::Promise<InvokeResult> promise;
+    /// The call's settlement slot, embedded so that one allocation holds
+    /// the whole record: the caller's future shares ownership of the call
+    /// (an aliasing shared_ptr, see StartCall).
+    sim::detail::FutureState<InvokeResult> state;
     monitor::Tracer::Opened root{};  ///< the invocation's root span
     SimTime begin = 0;
     std::uint64_t corr = 0;

@@ -51,7 +51,7 @@ void Formation::Enqueue(Message msg, Lane lane) {
       break;
     case Lane::kBulk:
       if (q.bytes >= policy_.flush_bytes) {
-        Flush(key);
+        Flush(key, q);
       } else if (q.timer == 0) {
         Arm(key, q, policy_.flush_after);
       }
@@ -60,18 +60,21 @@ void Formation::Enqueue(Message msg, Lane lane) {
 }
 
 void Formation::Arm(const LaneKey& key, Queue& q, SimTime delay) {
+  // Lanes are never erased while the formation lives, so the task may hold
+  // its queue by address.
   // fargolint: allow(capture-this) the owning Core outlives its formation; Discard cancels pending flushes on crash/teardown
-  q.timer = sched_.ScheduleAfter(delay, [this, key] { Flush(key); });
+  q.timer = sched_.ScheduleAfter(delay, [this, key, &q] { Flush(key, q); });
 }
 
-void Formation::Flush(const LaneKey& key) {
-  auto it = queues_.find(key);
-  if (it == queues_.end()) return;
-  Queue q = std::move(it->second);
-  queues_.erase(it);
-  if (q.timer != 0) sched_.Cancel(q.timer);
+void Formation::Flush(const LaneKey& key, Queue& q) {
+  if (q.timer != 0) {
+    sched_.Cancel(q.timer);
+    q.timer = 0;
+  }
   if (q.items.empty()) return;
 
+  // The lane stays resident: its item vector keeps its storage for the
+  // next batch. Network::Send and the flush hook never re-enter formation.
   ++flushes_;
   std::size_t sent_bytes = 0;
   const std::size_t count = q.items.size();
@@ -99,22 +102,22 @@ void Formation::Flush(const LaneKey& key) {
     sent_bytes = batch.payload.size();
     net_.Send(std::move(batch));
   }
+  q.items.clear();
+  q.bytes = 0;
   if (hook_) hook_(key.dest, key.lane, count, sent_bytes);
 }
 
 void Formation::FlushAll() {
-  while (!queues_.empty()) {
-    // Copy: Flush erases the node this key lives in, then still reads it
-    // (destination, lane, flush hook).
-    LaneKey key = queues_.begin()->first;
-    Flush(key);
-  }
+  for (auto& [key, q] : queues_) Flush(key, q);
 }
 
 void Formation::Discard() {
-  for (auto& [key, q] : queues_)
+  for (auto& [key, q] : queues_) {
     if (q.timer != 0) sched_.Cancel(q.timer);
-  queues_.clear();
+    q.timer = 0;
+    q.items.clear();
+    q.bytes = 0;
+  }
 }
 
 std::size_t Formation::queued() const {

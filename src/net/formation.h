@@ -79,7 +79,8 @@ class Formation {
   /// lane flushes. Loopback and disabled-formation sends go straight out.
   void Enqueue(Message msg, Lane lane);
 
-  /// Drains every queue now (orderly shutdown).
+  /// Drains every non-empty lane now, in (destination, lane) order
+  /// (orderly shutdown).
   void FlushAll();
 
   /// Drops every queued message and cancels pending flush tasks (crash:
@@ -103,6 +104,9 @@ class Formation {
       return static_cast<int>(lane) < static_cast<int>(o.lane);
     }
   };
+  /// One lane. Created on its first message and kept for the formation's
+  /// lifetime, empty between flushes, so a flush allocates no map node
+  /// and the item vector reuses its storage.
   struct Queue {
     std::vector<Message> items;
     std::size_t bytes = 0;       ///< queued payload bytes
@@ -110,7 +114,7 @@ class Formation {
   };
 
   void Arm(const LaneKey& key, Queue& q, SimTime delay);
-  void Flush(const LaneKey& key);
+  void Flush(const LaneKey& key, Queue& q);
 
   CoreId self_;
   sim::Scheduler& sched_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <type_traits>
 
 #include "src/common/log.h"
 
@@ -129,6 +130,13 @@ void Network::Deliver(Message msg) {
   }
   handler(std::move(msg));
 }
+
+// Every message crosses the scheduler in a `[this, Message]` delivery
+// closure (below); a field added to Message must not push that closure out
+// of sim::Task's inline buffer onto the heap.
+static_assert(sizeof(Network*) + sizeof(Message) <= sim::Task::kInlineBytes &&
+                  std::is_nothrow_move_constructible_v<Message>,
+              "the delivery closure outgrew sim::Task's inline buffer");
 
 void Network::Send(Message msg) {
   std::lock_guard<std::mutex> lk(mu_);

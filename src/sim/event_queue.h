@@ -2,7 +2,9 @@
 //
 // `SimScheduler` owns one; each `ParallelScheduler` locality owns one.
 //
-//  - A slab holds each task's closure and the slot's generation. A 4-ary
+//  - A slab holds each task's closure (a `Task`, task.h: stored inline in
+//    the slot, so queueing and popping allocate nothing once the slab has
+//    grown) and the slot's generation. A 4-ary
 //    min-heap of small `{at, seq, slot}` items orders the tasks, and every
 //    queued slot records its heap position.
 //  - A `Handle` is `[32b slot | 32b generation]`. Popping or cancelling a
@@ -20,12 +22,12 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <set>
 #include <utility>
 #include <vector>
 
 #include "src/common/time.h"
+#include "src/sim/task.h"
 
 namespace fargo::sim {
 
@@ -35,22 +37,22 @@ class EventQueue {
   using Handle = std::uint64_t;
 
   /// A popped task.
-  struct Task {
+  struct Popped {
     SimTime at = 0;
     bool barrier = false;
-    std::function<void()> fn;
+    Task fn;
   };
 
   /// Queues `fn` at `at`. `barrier` marks a lookahead-window barrier (the
   /// queue tracks the earliest one, see next_barrier()); `alias` is an
   /// opaque non-zero id the caller may look the task up by (FindAlias).
-  Handle Push(SimTime at, std::function<void()> fn, bool barrier = false,
+  Handle Push(SimTime at, Task&& fn, bool barrier = false,
               std::uint64_t alias = 0);
 
   /// Stores `fn` without queueing it: the handle is live (Cancel works)
   /// at once, and Link() queues the task later, taking its push-order
   /// place then. The parallel engine's conductor stages work this way.
-  Handle Reserve(std::function<void()> fn, bool barrier = false);
+  Handle Reserve(Task&& fn, bool barrier = false);
   /// Queues the reserved task `h` at `at`. Returns false, changing
   /// nothing, if it was cancelled meanwhile.
   bool Link(Handle h, SimTime at);
@@ -69,7 +71,7 @@ class EventQueue {
 
   /// Removes and returns the earliest task (time, then push order).
   /// Requires !empty().
-  Task Pop();
+  Popped Pop();
 
   /// Removes the task `h` names (queued or reserved) and destroys its
   /// closure. Returns false, changing nothing, if `h` names no such task.
@@ -89,7 +91,7 @@ class EventQueue {
   static constexpr std::size_t kArity = 4;
 
   struct Slot {
-    std::function<void()> fn;
+    Task fn;
     std::uint64_t alias = 0;
     std::uint32_t gen = 1;
     std::uint32_t pos = kFree;  ///< heap index while queued, or kReserved
@@ -108,7 +110,7 @@ class EventQueue {
     heap_[pos] = item;
     slab_[item.slot].pos = static_cast<std::uint32_t>(pos);
   }
-  std::uint32_t Claim(std::function<void()> fn, bool barrier);
+  std::uint32_t Claim(Task&& fn, bool barrier);
   Handle HandleOf(std::uint32_t slot) const {
     return (static_cast<Handle>(slot) << 32) | slab_[slot].gen;
   }
@@ -132,8 +134,7 @@ class EventQueue {
 
 // -- implementation: inline, it is the pump's hot path ----------------------
 
-inline std::uint32_t EventQueue::Claim(std::function<void()> fn,
-                                       bool barrier) {
+inline std::uint32_t EventQueue::Claim(Task&& fn, bool barrier) {
   std::uint32_t slot;
   if (free_.empty()) {
     slot = static_cast<std::uint32_t>(slab_.size());
@@ -148,9 +149,8 @@ inline std::uint32_t EventQueue::Claim(std::function<void()> fn,
   return slot;
 }
 
-inline EventQueue::Handle EventQueue::Push(SimTime at,
-                                           std::function<void()> fn,
-                                           bool barrier, std::uint64_t alias) {
+inline EventQueue::Handle EventQueue::Push(SimTime at, Task&& fn, bool barrier,
+                                           std::uint64_t alias) {
   const std::uint32_t slot = Claim(std::move(fn), barrier);
   slab_[slot].alias = alias;
   if (barrier) barriers_.insert(at);
@@ -160,8 +160,7 @@ inline EventQueue::Handle EventQueue::Push(SimTime at,
   return HandleOf(slot);
 }
 
-inline EventQueue::Handle EventQueue::Reserve(std::function<void()> fn,
-                                              bool barrier) {
+inline EventQueue::Handle EventQueue::Reserve(Task&& fn, bool barrier) {
   const std::uint32_t slot = Claim(std::move(fn), barrier);
   slab_[slot].pos = kReserved;
   return HandleOf(slot);
@@ -178,10 +177,10 @@ inline bool EventQueue::Link(Handle h, SimTime at) {
   return true;
 }
 
-inline EventQueue::Task EventQueue::Pop() {
+inline EventQueue::Popped EventQueue::Pop() {
   const Item& top = heap_.front();
   Slot& s = slab_[top.slot];
-  Task task{top.at, s.barrier, std::move(s.fn)};
+  Popped task{top.at, s.barrier, std::move(s.fn)};
   Remove(0);
   return task;
 }
@@ -199,7 +198,7 @@ inline bool EventQueue::Cancel(Handle h) {
   Slot* s = Live(h);
   if (s == nullptr) return false;
   // Unlink first, destroy after: the closure's destructor may re-enter.
-  std::function<void()> doomed = std::move(s->fn);
+  Task doomed = std::move(s->fn);
   if (s->pos == kReserved)
     Release(static_cast<std::uint32_t>(h >> 32));
   else
@@ -214,7 +213,7 @@ inline EventQueue::Handle EventQueue::FindAlias(std::uint64_t alias) const {
 }
 
 inline void EventQueue::Clear() {
-  std::vector<std::function<void()>> doomed;
+  std::vector<Task> doomed;
   for (std::uint32_t slot = 0; slot < slab_.size(); ++slot)
     if (slab_[slot].pos != kFree)
       doomed.push_back(std::move(slab_[slot].fn));

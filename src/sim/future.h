@@ -12,7 +12,6 @@
 #pragma once
 
 #include <exception>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -23,6 +22,7 @@
 #include "src/common/time.h"
 #include "src/common/value.h"
 #include "src/sim/scheduler.h"
+#include "src/sim/task.h"
 
 namespace fargo::sim {
 
@@ -42,8 +42,19 @@ struct FutureState {
   bool settled = false;
   std::optional<T> value;
   std::exception_ptr error;
-  std::vector<std::function<void()>> continuations;
+  /// The first continuation, held inline: most futures get exactly one.
+  Task first;
+  /// The second and later continuations, in registration order.
+  std::vector<Task> continuations;
   TaskId expiry = 0;  ///< pending ExpireAfter task, cancelled on settle
+
+  /// Queues `fn` to be scheduled on settlement. Requires !settled.
+  void AddContinuation(Task&& fn) {
+    if (!first)
+      first = std::move(fn);
+    else
+      continuations.push_back(std::move(fn));
+  }
 
   void FireContinuations() {
     settled = true;
@@ -51,7 +62,9 @@ struct FutureState {
       sched->Cancel(expiry);
       expiry = 0;
     }
-    for (auto& fn : continuations) sched->ScheduleAfter(0, std::move(fn));
+    if (!first) return;
+    sched->ScheduleAfter(0, std::move(first));
+    for (Task& fn : continuations) sched->ScheduleAfter(0, std::move(fn));
     continuations.clear();
   }
 
@@ -86,6 +99,10 @@ class Future {
   using value_type = T;
 
   Future() = default;
+  /// A future over `state`, which may live inside a larger record that
+  /// the pointer shares ownership of (an aliasing shared_ptr).
+  explicit Future(std::shared_ptr<detail::FutureState<T>> state)
+      : state_(std::move(state)) {}
 
   bool valid() const { return state_ != nullptr; }
   bool settled() const { return State().settled; }
@@ -113,16 +130,15 @@ class Future {
   /// Runs `fn(*this)` after settlement, as its own scheduled event. If the
   /// future is already settled the continuation still runs asynchronously
   /// (zero-delay event), never inline.
-  void OnSettle(std::function<void(Future<T>)> fn) const {
-    auto bound = [state = state_, fn = std::move(fn)] {
-      Future<T> self;
-      self.state_ = state;
-      fn(std::move(self));
+  template <class F>
+  void OnSettle(F fn) const {
+    Task bound = [state = state_, fn = std::move(fn)]() mutable {
+      fn(Future<T>(std::move(state)));
     };
     if (State().settled) {
       State().sched->ScheduleAfter(0, std::move(bound));
     } else {
-      State().continuations.push_back(std::move(bound));
+      State().AddContinuation(std::move(bound));
     }
   }
 
@@ -250,10 +266,6 @@ class Future {
   }
 
  private:
-  friend class Promise<T>;
-  template <class U>
-  friend class Future;
-
   void Require() const {
     detail::FutureState<T>& s = State();
     if (!s.settled) throw FargoError("future observed before settlement");
@@ -268,8 +280,8 @@ class Future {
   std::shared_ptr<detail::FutureState<T>> state_;
 };
 
-/// Producer end. Copyable (copies alias the slot) so it can ride inside
-/// std::function continuations; settlement stays first-wins.
+/// Producer end. Copyable (copies alias the slot) so continuations can
+/// share it; settlement stays first-wins.
 template <class T>
 // fargo: domain(sim)
 class Promise {
@@ -279,11 +291,7 @@ class Promise {
     state_->sched = &sched;
   }
 
-  Future<T> future() const {
-    Future<T> f;
-    f.state_ = state_;
-    return f;
-  }
+  Future<T> future() const { return Future<T>(state_); }
 
   bool settled() const { return state_->settled; }
 

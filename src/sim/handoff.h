@@ -19,12 +19,12 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <mutex>
 #include <utility>
 #include <vector>
 
 #include "src/common/time.h"
+#include "src/sim/task.h"
 
 namespace fargo::sim {
 
@@ -40,7 +40,7 @@ class HandoffQueue {
     std::uint32_t src = 0;
     std::uint64_t seq = 0;
     std::uint64_t id = 0;  ///< TaskId, for cancellation
-    std::function<void()> fn;
+    Task fn;
     bool barrier = false;  ///< lookahead window barrier (parallel_sched.h)
   };
 

@@ -211,7 +211,7 @@ void ParallelScheduler::WorkerLoop(int idx) {
     // next round.
     try {
       while (!self.queue.empty() && self.queue.top_at() <= hi) {
-        EventQueue::Task task = self.queue.Pop();
+        EventQueue::Popped task = self.queue.Pop();
         ++exec;
         tl_ctx.now = task.at;
         tl_ctx.in_barrier = task.barrier;
@@ -235,7 +235,7 @@ SimTime ParallelScheduler::Now() const {
   return tl_ctx.sched == this ? tl_ctx.now : now_;
 }
 
-TaskId ParallelScheduler::ScheduleAt(SimTime t, std::function<void()> fn) {
+TaskId ParallelScheduler::ScheduleAt(SimTime t, Task fn) {
   if (t < Now()) t = Now();
   std::uint64_t aff = 0;
   const bool has_aff = Scheduler::AffinityScope::Current(aff);
@@ -250,8 +250,8 @@ TaskId ParallelScheduler::ScheduleAt(SimTime t, std::function<void()> fn) {
   return StageEnqueue(0, t, std::move(fn), true);
 }
 
-TaskId ParallelScheduler::Post(std::uint64_t affinity, SimTime t,
-                               std::function<void()> fn, bool barrier) {
+TaskId ParallelScheduler::Post(std::uint64_t affinity, SimTime t, Task fn,
+                               bool barrier) {
   if (t < Now()) t = Now();
   const int dest = LocalityOf(affinity);
   if (tl_ctx.sched == this)
@@ -259,8 +259,7 @@ TaskId ParallelScheduler::Post(std::uint64_t affinity, SimTime t,
   return StageEnqueue(dest, t, std::move(fn), barrier);
 }
 
-TaskId ParallelScheduler::WorkerEnqueue(int dest, SimTime t,
-                                        std::function<void()> fn,
+TaskId ParallelScheduler::WorkerEnqueue(int dest, SimTime t, Task&& fn,
                                         bool barrier) {
   // Inside a window another locality may already have run past `t`, and a
   // barrier must never run inside one.
@@ -289,8 +288,7 @@ TaskId ParallelScheduler::WorkerEnqueue(int dest, SimTime t,
   return id;
 }
 
-TaskId ParallelScheduler::StageEnqueue(int dest, SimTime t,
-                                       std::function<void()> fn,
+TaskId ParallelScheduler::StageEnqueue(int dest, SimTime t, Task&& fn,
                                        bool barrier) {
   // Workers are parked: reserve the task's slot in its destination queue
   // now, so its id is a real handle; the merge links it into the heap.

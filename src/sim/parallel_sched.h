@@ -95,8 +95,8 @@ class ParallelScheduler final : public Scheduler {
   /// On a worker: the time of the task being executed. Elsewhere: the
   /// global clock.
   SimTime Now() const override;
-  TaskId ScheduleAt(SimTime t, std::function<void()> fn) override;
-  TaskId Post(std::uint64_t affinity, SimTime t, std::function<void()> fn,
+  TaskId ScheduleAt(SimTime t, Task fn) override;
+  TaskId Post(std::uint64_t affinity, SimTime t, Task fn,
               bool barrier = false) override;
   void Cancel(TaskId id) override;
   bool RunOne() override;
@@ -135,10 +135,8 @@ class ParallelScheduler final : public Scheduler {
 
   void EnsureStarted();
   void WorkerLoop(int idx);
-  TaskId WorkerEnqueue(int dest, SimTime t, std::function<void()> fn,
-                       bool barrier);
-  TaskId StageEnqueue(int dest, SimTime t, std::function<void()> fn,
-                      bool barrier);
+  TaskId WorkerEnqueue(int dest, SimTime t, Task&& fn, bool barrier);
+  TaskId StageEnqueue(int dest, SimTime t, Task&& fn, bool barrier);
   /// Drives rounds over the window [lo, hi] until none hands off work due
   /// inside it. If `pred` is given it is checked between rounds; returns
   /// true the moment it holds.

@@ -14,6 +14,29 @@ thread_local int tl_no_pump = 0;
 thread_local std::uint64_t Scheduler::AffinityScope::ambient_key_ = 0;
 thread_local bool Scheduler::AffinityScope::ambient_set_ = false;
 
+// The scopes touch the thread_local statics only here, in the defining
+// translation unit: gcc's UBSan flags inline accesses from other units
+// (through the TLS wrapper) as null-pointer loads.
+Scheduler::NoPumpScope::NoPumpScope(Scheduler&) { ++detail::tl_no_pump; }
+Scheduler::NoPumpScope::~NoPumpScope() { --detail::tl_no_pump; }
+
+Scheduler::AffinityScope::AffinityScope(std::uint64_t affinity)
+    : prev_key_(ambient_key_), prev_set_(ambient_set_) {
+  ambient_key_ = affinity;
+  ambient_set_ = true;
+}
+
+Scheduler::AffinityScope::~AffinityScope() {
+  ambient_key_ = prev_key_;
+  ambient_set_ = prev_set_;
+}
+
+bool Scheduler::AffinityScope::Current(std::uint64_t& affinity) {
+  if (!ambient_set_) return false;
+  affinity = ambient_key_;
+  return true;
+}
+
 Scheduler::PumpGuard::PumpGuard(Scheduler& s) : sched_(s) {
   if (detail::tl_no_pump > 0)
     throw FargoError(
@@ -29,14 +52,14 @@ Scheduler::PumpGuard::PumpGuard(Scheduler& s) : sched_(s) {
   if (sched_.pump_observer_) sched_.pump_observer_(sched_.pump_depth_);
 }
 
-TaskId SimScheduler::ScheduleAt(SimTime t, std::function<void()> fn) {
+TaskId SimScheduler::ScheduleAt(SimTime t, Task fn) {
   if (t < now_) t = now_;
   return queue_.Push(t, std::move(fn));
 }
 
 bool SimScheduler::RunDue(SimTime limit) {
   if (queue_.empty() || queue_.top_at() > limit) return false;
-  EventQueue::Task task = queue_.Pop();
+  EventQueue::Popped task = queue_.Pop();
   now_ = std::max(now_, task.at);
   ++executed_;
   task.fn();

@@ -30,6 +30,7 @@
 
 #include "src/common/time.h"
 #include "src/sim/event_queue.h"
+#include "src/sim/task.h"
 
 namespace fargo::sim {
 
@@ -62,10 +63,10 @@ class Scheduler {
   /// Schedules `fn` at absolute time `t` (clamped to Now()). In the
   /// parallel engine the task lands on the calling thread's locality (or
   /// the ambient AffinityScope's, if one is active).
-  virtual TaskId ScheduleAt(SimTime t, std::function<void()> fn) = 0;
+  virtual TaskId ScheduleAt(SimTime t, Task fn) = 0;
 
   /// Schedules `fn` after `delay` from now.
-  TaskId ScheduleAfter(SimTime delay, std::function<void()> fn) {
+  TaskId ScheduleAfter(SimTime delay, Task fn) {
     return ScheduleAt(Now() + delay, std::move(fn));
   }
 
@@ -81,16 +82,15 @@ class Scheduler {
   /// crash or restart): the parallel engine ends every lookahead window
   /// before it and runs it in a round of its own timestamp. The sim engine
   /// ignores the flag too.
-  virtual TaskId Post(std::uint64_t affinity, SimTime t,
-                      std::function<void()> fn, bool barrier = false) {
+  virtual TaskId Post(std::uint64_t affinity, SimTime t, Task fn,
+                      bool barrier = false) {
     (void)affinity;
     (void)barrier;
     return ScheduleAt(t, std::move(fn));
   }
 
   /// Post after `delay` from now (see Post).
-  TaskId PostAfter(std::uint64_t affinity, SimTime delay,
-                   std::function<void()> fn) {
+  TaskId PostAfter(std::uint64_t affinity, SimTime delay, Task fn) {
     return Post(affinity, Now() + delay, std::move(fn));
   }
 
@@ -164,8 +164,8 @@ class Scheduler {
   // fargo: domain(sim)
   class NoPumpScope {
    public:
-    explicit NoPumpScope(Scheduler&) { ++detail::tl_no_pump; }
-    ~NoPumpScope() { --detail::tl_no_pump; }
+    explicit NoPumpScope(Scheduler&);
+    ~NoPumpScope();
     NoPumpScope(const NoPumpScope&) = delete;
     NoPumpScope& operator=(const NoPumpScope&) = delete;
   };
@@ -178,25 +178,14 @@ class Scheduler {
   // fargo: domain(sim)
   class AffinityScope {
    public:
-    explicit AffinityScope(std::uint64_t affinity)
-        : prev_key_(ambient_key_), prev_set_(ambient_set_) {
-      ambient_key_ = affinity;
-      ambient_set_ = true;
-    }
-    ~AffinityScope() {
-      ambient_key_ = prev_key_;
-      ambient_set_ = prev_set_;
-    }
+    explicit AffinityScope(std::uint64_t affinity);
+    ~AffinityScope();
     AffinityScope(const AffinityScope&) = delete;
     AffinityScope& operator=(const AffinityScope&) = delete;
 
     /// The calling thread's ambient affinity, if an AffinityScope is
     /// active. Returns false otherwise.
-    static bool Current(std::uint64_t& affinity) {
-      if (!ambient_set_) return false;
-      affinity = ambient_key_;
-      return true;
-    }
+    static bool Current(std::uint64_t& affinity);
 
    private:
     static thread_local std::uint64_t ambient_key_;
@@ -233,7 +222,7 @@ class SimScheduler final : public Scheduler {
   SimScheduler() = default;
 
   SimTime Now() const override { return now_; }
-  TaskId ScheduleAt(SimTime t, std::function<void()> fn) override;
+  TaskId ScheduleAt(SimTime t, Task fn) override;
   void Cancel(TaskId id) override { queue_.Cancel(id); }
   bool RunOne() override;
   void RunUntilIdle() override;

@@ -257,6 +257,75 @@ TEST_F(FormationTest, FlushAllDrainsEveryQueueInDeterministicOrder) {
   EXPECT_EQ(formation.queued(), 0u);
 }
 
+// Lanes stay resident after a flush and reuse their storage; the next
+// tick's traffic must still batch, in FIFO order, with nothing left over.
+TEST_F(FormationTest, ALaneReusedAfterAFlushKeepsFifoAndBatching) {
+  for (std::uint64_t tick = 0; tick < 3; ++tick) {
+    for (std::uint64_t i = 1; i <= 3; ++i)
+      formation.Enqueue(Make(MessageKind::kInvokeRequest, 4, tick * 10 + i),
+                        Formation::Lane::kImmediate);
+    sched.RunUntilIdle();
+    ASSERT_EQ(sends.size(), tick + 1);
+    const std::vector<Message> items = Unpack(sends.back().msg);
+    ASSERT_EQ(items.size(), 3u) << "tick " << tick;
+    for (std::uint64_t i = 0; i < 3; ++i)
+      EXPECT_EQ(items[i].correlation, tick * 10 + i + 1);
+    EXPECT_EQ(formation.queued(), 0u);
+  }
+  // A lone item on the reused lane still goes out raw.
+  formation.Enqueue(Make(MessageKind::kInvokeReply, 4, 99),
+                    Formation::Lane::kImmediate);
+  sched.RunUntilIdle();
+  ASSERT_EQ(sends.size(), 4u);
+  EXPECT_EQ(sends.back().msg.kind, MessageKind::kInvokeReply);
+  EXPECT_EQ(formation.frames(), 3u);
+  EXPECT_EQ(formation.single_sends(), 1u);
+}
+
+TEST_F(FormationTest, EnqueueAfterDiscardSendsOnlyTheNewItem) {
+  for (Formation::Lane lane :
+       {Formation::Lane::kImmediate, Formation::Lane::kBulk}) {
+    sends.clear();
+    formation.Enqueue(Make(MessageKind::kEventNotify, 10, 1), lane);
+    formation.Enqueue(Make(MessageKind::kEventNotify, 10, 2), lane);
+    formation.Discard();
+    formation.Enqueue(Make(MessageKind::kEventNotify, 10, 3), lane);
+    sched.RunUntilIdle();
+    ASSERT_EQ(sends.size(), 1u);
+    EXPECT_EQ(sends[0].msg.kind, MessageKind::kEventNotify)
+        << "one raw message, not a frame";
+    EXPECT_EQ(sends[0].msg.correlation, 3u);
+    EXPECT_EQ(sched.PendingCount(), 0u);
+  }
+}
+
+TEST_F(FormationTest, FlushAllSendsNothingForEmptyLanes) {
+  CoreId c{3};
+  net.Register(c, [](Message) {});
+  Message to_c = Make(MessageKind::kInvokeRequest, 10, 1);
+  to_c.to = c;
+  // Every lane below exists; after this tick all of them are empty.
+  formation.Enqueue(std::move(to_c), Formation::Lane::kImmediate);
+  formation.Enqueue(Make(MessageKind::kControl, 10, 2),
+                    Formation::Lane::kPriority);
+  formation.Enqueue(Make(MessageKind::kEventNotify, 10, 3),
+                    Formation::Lane::kBulk);
+  sched.RunFor(Millis(2));
+  ASSERT_EQ(sends.size(), 3u);
+  formation.FlushAll();
+  EXPECT_EQ(sends.size(), 3u) << "empty lanes send nothing";
+
+  formation.Enqueue(Make(MessageKind::kEventNotify, 10, 4),
+                    Formation::Lane::kBulk);
+  formation.FlushAll();
+  ASSERT_EQ(sends.size(), 4u);
+  EXPECT_EQ(sends.back().msg.correlation, 4u);
+  EXPECT_EQ(formation.flushes(), 4u);
+  EXPECT_EQ(formation.queued(), 0u);
+  sched.RunUntilIdle();
+  EXPECT_EQ(sends.size(), 4u) << "FlushAll cancelled the bulk timer";
+}
+
 TEST_F(FormationTest, FlushHookReportsEveryDepartureWithItemsAndBytes) {
   struct Flush {
     CoreId dest;

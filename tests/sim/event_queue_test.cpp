@@ -1,20 +1,227 @@
 // The indexed event queue (event_queue.h) alone, then the cancel contract
 // it gives both engines: eager removal, exact PendingCount, stale ids are
-// harmless, and the same-time FIFO tiebreak survives cancels.
+// harmless, and the same-time FIFO tiebreak survives cancels. Also the
+// Task closure type the queues store (task.h): inline storage, heap
+// fallback, and every closure destroyed exactly once.
 #include "src/sim/event_queue.h"
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
+#include <cstdlib>
 #include <memory>
+#include <new>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/sim/parallel_sched.h"
 #include "src/sim/scheduler.h"
+#include "src/sim/task.h"
+
+namespace {
+/// Heap allocations made by the calling thread (this binary replaces the
+/// global operator new).
+thread_local std::uint64_t tl_allocs = 0;
+}  // namespace
+
+void* operator new(std::size_t n) {
+  ++tl_allocs;
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace fargo::sim {
 namespace {
+
+/// A move-only capture that counts how often a live instance is destroyed.
+class DestroyProbe {
+ public:
+  explicit DestroyProbe(int* destroyed) : destroyed_(destroyed) {}
+  DestroyProbe(DestroyProbe&& o) noexcept
+      : destroyed_(std::exchange(o.destroyed_, nullptr)) {}
+  DestroyProbe& operator=(DestroyProbe&&) = delete;
+  ~DestroyProbe() {
+    if (destroyed_ != nullptr) ++*destroyed_;
+  }
+
+ private:
+  int* destroyed_;
+};
+
+/// Padding that makes a `[probe, pad]` closure exactly fill, or overflow,
+/// the inline buffer.
+constexpr std::size_t kFillPad = Task::kInlineBytes - sizeof(DestroyProbe);
+using FillPad = std::array<unsigned char, kFillPad>;
+using SpillPad = std::array<unsigned char, kFillPad + 1>;
+
+template <class Pad>
+auto ProbeClosure(int* destroyed) {
+  return [probe = DestroyProbe(destroyed), pad = Pad{}] { (void)pad; };
+}
+
+static_assert(Task::kFitsInline<decltype(ProbeClosure<FillPad>(nullptr))>);
+static_assert(!Task::kFitsInline<decltype(ProbeClosure<SpillPad>(nullptr))>);
+
+TEST(TaskTest, AcceptsAMoveOnlyCaptureAndEmptiesTheMovedFrom) {
+  int got = 0;
+  Task t = [p = std::make_unique<int>(41), &got] { got = *p + 1; };
+  Task moved = std::move(t);
+  EXPECT_FALSE(t);
+  ASSERT_TRUE(moved);
+  moved();
+  EXPECT_EQ(got, 42);
+
+  EventQueue q;
+  q.Push(1, [p = std::make_unique<int>(7), &got] { got = *p; });
+  q.Pop().fn();
+  EXPECT_EQ(got, 7);
+}
+
+TEST(TaskTest, InlineClosuresDoNotAllocateAndLargerOnesTakeTheHeap) {
+  int destroyed = 0;
+  const std::uint64_t before = tl_allocs;
+  {
+    Task a = ProbeClosure<FillPad>(&destroyed);
+    Task b = std::move(a);
+    b();
+  }
+  EXPECT_EQ(tl_allocs, before) << "a closure of exactly kInlineBytes";
+  {
+    Task a = ProbeClosure<SpillPad>(&destroyed);
+    Task b = std::move(a);  // moves the pointer, not the closure
+    b();
+  }
+  EXPECT_EQ(tl_allocs, before + 1) << "one byte past the buffer";
+
+  // A closure whose move may throw is never relocated in place.
+  struct ThrowingMove {
+    explicit ThrowingMove(int* runs) : runs(runs) {}
+    ThrowingMove(ThrowingMove&& o) noexcept(false) : runs(o.runs) {}
+    void operator()() { ++*runs; }
+    int* runs;
+  };
+  static_assert(!Task::kFitsInline<ThrowingMove>);
+  int runs = 0;
+  EventQueue q;
+  q.Push(1, [] {});  // grows the queue
+  q.Pop();
+  const std::uint64_t grown = tl_allocs;
+  q.Push(1, ThrowingMove(&runs));
+  q.Pop().fn();
+  EXPECT_EQ(tl_allocs, grown + 1);
+  EXPECT_EQ(runs, 1);
+  EXPECT_EQ(destroyed, 2);
+}
+
+TEST(TaskTest, AGrownQueueSchedulesInlineClosuresWithoutAllocating) {
+  EventQueue q;
+  int runs = 0;
+  auto closure = [&runs, pad = FillPad{}] { runs += 1 + pad[0]; };
+  static_assert(Task::kFitsInline<decltype(closure)>);
+  q.Push(1, closure);  // grows the slab, the heap and the free list
+  q.Pop().fn();
+  const std::uint64_t before = tl_allocs;
+  for (int i = 0; i < 100; ++i) {
+    q.Push(2, closure);
+    q.Pop().fn();
+  }
+  EXPECT_EQ(tl_allocs, before);
+  EXPECT_EQ(runs, 101);
+}
+
+template <class Pad>
+void ExpectEveryClosureDestroyedOnce() {
+  int destroyed = 0;
+  {
+    EventQueue q;
+    q.Push(1, ProbeClosure<Pad>(&destroyed));
+    const EventQueue::Handle cancelled = q.Push(2, ProbeClosure<Pad>(&destroyed));
+    q.Push(3, ProbeClosure<Pad>(&destroyed));
+    q.Reserve(ProbeClosure<Pad>(&destroyed));
+    {
+      EventQueue::Popped popped = q.Pop();
+      popped.fn();
+      EXPECT_EQ(destroyed, 0) << "the popped task owns its closure";
+    }
+    EXPECT_EQ(destroyed, 1);  // Pop
+    EXPECT_TRUE(q.Cancel(cancelled));
+    EXPECT_EQ(destroyed, 2);  // Cancel
+    EXPECT_FALSE(q.Cancel(cancelled));
+    q.Clear();
+    EXPECT_EQ(destroyed, 4);  // Clear: the queued and the reserved task
+  }
+  EXPECT_EQ(destroyed, 4) << "the queue's destructor found nothing left";
+}
+
+TEST(TaskTest, EveryQueuedClosureIsDestroyedExactlyOnce) {
+  ExpectEveryClosureDestroyedOnce<FillPad>();
+  ExpectEveryClosureDestroyedOnce<SpillPad>();
+}
+
+TEST(TaskTest, ParallelClearDestroysStagedQueuedAndHandedOffClosuresOnce) {
+  int destroyed = 0;
+  {
+    ParallelScheduler ps(2);
+    // A worker on locality 0 hands a far-future task to locality 1: it
+    // waits in locality 1's inbox until the next merge.
+    ps.ScheduleAt(1, [&ps, &destroyed] {
+      ps.Post(1, Seconds(10), ProbeClosure<FillPad>(&destroyed));
+    });
+    ps.RunFor(Millis(2));
+    ps.ScheduleAt(Seconds(5), ProbeClosure<FillPad>(&destroyed));  // staged
+    ps.Post(0, Seconds(6), ProbeClosure<SpillPad>(&destroyed));
+    EXPECT_EQ(ps.PendingCount(), 3u);
+    EXPECT_EQ(destroyed, 0);
+    ps.Clear();
+    EXPECT_EQ(destroyed, 3);
+    EXPECT_EQ(ps.PendingCount(), 0u);
+  }
+  EXPECT_EQ(destroyed, 3);
+}
+
+/// Cancels `*victim` in `q` when destroyed.
+class CancelOnDestroy {
+ public:
+  CancelOnDestroy(EventQueue* q, const EventQueue::Handle* victim)
+      : q_(q), victim_(victim) {}
+  CancelOnDestroy(CancelOnDestroy&& o) noexcept
+      : q_(std::exchange(o.q_, nullptr)), victim_(o.victim_) {}
+  CancelOnDestroy& operator=(CancelOnDestroy&&) = delete;
+  ~CancelOnDestroy() {
+    if (q_ != nullptr) q_->Cancel(*victim_);
+  }
+
+ private:
+  EventQueue* q_;
+  const EventQueue::Handle* victim_;
+};
+
+TEST(TaskTest, AClosureWhoseDestructorCancelsAnotherTaskIsSafe) {
+  for (int how = 0; how < 3; ++how) {
+    int destroyed = 0;
+    EventQueue q;
+    const EventQueue::Handle victim =
+        q.Push(9, ProbeClosure<FillPad>(&destroyed));
+    const EventQueue::Handle h =
+        q.Push(5, [c = CancelOnDestroy(&q, &victim)] {});
+    q.Push(7, [] {});
+    if (how == 0) {
+      q.Pop().fn();  // destroyed after running, once popped
+    } else if (how == 1) {
+      EXPECT_TRUE(q.Cancel(h));
+    } else {
+      q.Clear();
+    }
+    EXPECT_EQ(destroyed, 1) << "case " << how;
+    EXPECT_EQ(q.size(), how == 2 ? 0u : 1u) << "case " << how;
+    EXPECT_FALSE(q.Cancel(victim));
+    while (!q.empty()) q.Pop().fn();
+  }
+}
 
 TEST(EventQueueTest, PopsInTimeThenPushOrder) {
   EventQueue q;

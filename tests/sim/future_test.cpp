@@ -84,6 +84,30 @@ TEST(FutureTest, ContinuationsRunInRegistrationOrder) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
 }
 
+// The first continuation is held inline and later ones in a list; the
+// split must not show in the firing order.
+TEST(FutureTest, ThreeContinuationsFireInRegistrationOrderBeforeAndAfter) {
+  SimScheduler sched;
+  Promise<int> p(sched);
+  std::vector<int> order;
+  for (int i = 0; i < 3; ++i)
+    p.future().OnSettle([&order, i](Future<int>) { order.push_back(i); });
+  p.Resolve(0);
+  for (int i = 3; i < 6; ++i)
+    p.future().OnSettle([&order, i](Future<int>) { order.push_back(i); });
+  sched.RunUntilIdle();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5}));
+
+  // Registered only after the settle.
+  Promise<int> q(sched);
+  q.Resolve(1);
+  order.clear();
+  for (int i = 0; i < 3; ++i)
+    q.future().OnSettle([&order, i](Future<int>) { order.push_back(i); });
+  sched.RunUntilIdle();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+}
+
 TEST(FutureTest, ThenMapsValues) {
   SimScheduler sched;
   Promise<int> p(sched);

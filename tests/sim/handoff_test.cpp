@@ -15,7 +15,7 @@ namespace fargo::sim {
 namespace {
 
 HandoffQueue::Item MakeItem(SimTime at, std::uint32_t src, std::uint64_t seq,
-                            std::function<void()> fn = nullptr) {
+                            Task fn = nullptr) {
   HandoffQueue::Item it;
   it.at = at;
   it.src = src;
