@@ -120,8 +120,11 @@ void RacingInvocationsTable(Report& report) {
     for (int i = 0; i < racers; ++i) {
       // fargolint: allow(capture-ref) client/completed/last_done and the World all outlive the RunUntilIdle below in this same scope
       w.rt.scheduler().ScheduleAfter(Millis(1 + i), [&] {
-        if (client.Invoke<std::int64_t>("read") == 200000) ++completed;
-        last_done = w.rt.Now();
+        client.CallAsync("read").OnSettle(
+            [&completed, &last_done, &rt = w.rt](sim::Future<Value> f) {
+              if (f.ok() && f.value().AsInt() == 200000) ++completed;
+              last_done = rt.Now();
+            });
       });
     }
     Section section(report, w, "race" + std::to_string(racers));

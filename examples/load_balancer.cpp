@@ -7,8 +7,8 @@
 //   - evacuates complets from a core announcing shutdown (reliability).
 //
 // Build & run:  ./build/examples/load_balancer
-#include <algorithm>
 #include <cstdio>
+#include <memory>
 
 #include "src/fargo.h"
 
@@ -58,42 +58,35 @@ int main() {
 
   std::printf("== FarGo load balancer (monitoring API) ==\n");
 
-  // Least-loaded core in the farm.
-  auto least_loaded = [&](core::Core* except) {
-    core::Core* best = nullptr;
-    for (core::Core* c : farm)
-      if (c != except && c->alive() &&
-          (best == nullptr || c->repository().size() < best->repository().size()))
-        best = c;
-    return best;
-  };
-
-  // Policy 1: spread when a node gets hot (threshold monitor event).
+  // Each node's policies run on that node and act only through it: they
+  // move the node's own complets without blocking, round-robin over the
+  // other nodes (a listener never reads another Core's state).
   for (core::Core* node : farm) {
-    admin.ListenThresholdAt(
+    std::vector<CoreId> others;
+    for (core::Core* c : farm)
+      if (c != node) others.push_back(c->id());
+    auto turn = std::make_shared<std::size_t>(0);
+    auto spread = [node, others, turn](std::size_t count) {
+      std::vector<ComletId> here = node->ComletsHere();
+      for (std::size_t i = 0; i < count && i < here.size(); ++i)
+        node->MoveIdAsync(here[i], others[(*turn)++ % others.size()]);
+    };
+
+    // Policy 1: spread when the node gets hot (threshold monitor event).
+    node->ListenThresholdAt(
         node->id(), monitor::ComletLoadProbe(), 8.0, monitor::Trigger::kAbove,
-        fargo::Millis(50), [&, node](const monitor::Event& e) {
+        fargo::Millis(50), [node, spread](const monitor::Event& e) {
           std::printf("  !! %s overloaded (load %.0f) -> spreading\n",
                       node->name().c_str(), e.value);
-          std::vector<ComletId> here = node->ComletsHere();
-          for (std::size_t i = 0; i < here.size() / 2; ++i) {
-            core::Core* dest = least_loaded(node);
-            if (dest != nullptr) node->MoveId(here[i], dest->id());
-          }
-          PrintLoads(rt);
+          spread(node->ComletsHere().size() / 2);
         });
-  }
 
-  // Policy 2: reliability — evacuate a dying node (CoreShutdown event).
-  for (core::Core* node : farm) {
-    admin.ListenAt(node->id(), monitor::EventKind::kCoreShutdown,
-                   [&, node](const monitor::Event&) {
+    // Policy 2: reliability — evacuate a dying node (CoreShutdown event).
+    node->ListenAt(node->id(), monitor::EventKind::kCoreShutdown,
+                   [node, spread](const monitor::Event&) {
                      std::printf("  !! %s shutting down -> evacuating\n",
                                  node->name().c_str());
-                     for (ComletId id : node->ComletsHere()) {
-                       core::Core* dest = least_loaded(node);
-                       if (dest != nullptr) node->MoveId(id, dest->id());
-                     }
+                     spread(node->ComletsHere().size());
                    });
   }
 

@@ -95,20 +95,29 @@ class Agent : public core::Anchor {
       return Value();
     });
     // Continuation invoked on arrival at each site (§3.3): do the site's
-    // work using the three references.
+    // work using the three references. An async method: each call is
+    // awaited in turn, never blocked on.
     methods().Register("visit", [this](const std::vector<Value>&) {
       const std::string site = core()->name();
-      std::string greeting = config_.Invoke<std::string>("get");
-      notebook_.Call("append", {Value("visited " + site)});
-      if (printer_) {
-        printer_.Call("print", {Value(greeting + " from the agent at " + site)});
-      } else {
-        std::printf("  [agent @ %s] no local printer here\n", site.c_str());
-      }
-      return Value();
+      sim::Scheduler* sched = &core()->scheduler();
+      return config_.CallAsync("get").Then(
+          [notebook = notebook_, printer = printer_, site,
+           sched](Value& greeting) {
+            return notebook.CallAsync("append", {Value("visited " + site)})
+                .Then([printer, site, sched,
+                       greeting = greeting.AsString()](Value&) {
+                  if (printer)
+                    return printer.CallAsync(
+                        "print",
+                        {Value(greeting + " from the agent at " + site)});
+                  std::printf("  [agent @ %s] no local printer here\n",
+                              site.c_str());
+                  return sim::MakeReadyFuture(*sched, Value());
+                });
+          });
     });
     methods().Register("report", [this](const std::vector<Value>&) {
-      return notebook_.Call("dump");
+      return notebook_.CallAsync("dump");
     });
   }
   std::string_view TypeName() const override { return kTypeName; }

@@ -24,7 +24,7 @@ class Frontend : public core::Anchor {
       return Value();
     });
     methods().Register("request", [this](const std::vector<Value>&) {
-      return backend_.Call("serve");
+      return backend_.CallAsync("serve");
     });
   }
   std::string_view TypeName() const override { return kTypeName; }

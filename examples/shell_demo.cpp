@@ -43,7 +43,7 @@ class Storefront : public core::Anchor {
       return Value();
     });
     methods().Register("sell", [this](const std::vector<Value>&) {
-      return inventory_.Call("take", {Value(1)});
+      return inventory_.CallAsync("take", {Value(1)});
     });
   }
   std::string_view TypeName() const override { return kTypeName; }

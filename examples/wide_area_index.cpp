@@ -16,6 +16,7 @@
 // Build & run:  ./build/examples/wide_area_index
 #include <cstdio>
 #include <map>
+#include <memory>
 #include <sstream>
 
 #include "src/fargo.h"
@@ -84,20 +85,19 @@ class Indexer : public core::Anchor {
           core::MakeRelocator("stamp"));
       return Value();
     });
-    // Arrival continuation: index the local shard.
+    // Arrival continuation: index the local shard. An async method: it
+    // awaits the shard's documents, then asks the stopword table about one
+    // word at a time, in order.
     methods().Register("indexHere", [this](const std::vector<Value>&) {
-      if (!shard_) return Value("no shard at " + core()->name());
-      std::istringstream docs(shard_.Invoke<std::string>("docs"));
-      std::string word;
-      std::int64_t indexed = 0;
-      while (docs >> word) {
-        if (stopwords_.Invoke<bool>("contains", word)) continue;
-        index_[word] += 1;
-        ++indexed;
-      }
-      sites_ += core()->name() + " ";
-      return Value("indexed " + std::to_string(indexed) + " terms at " +
-                   core()->name());
+      if (!shard_)
+        return sim::MakeReadyFuture(core()->scheduler(),
+                                    Value("no shard at " + core()->name()));
+      // fargolint: allow(capture-this) the executor keeps the anchor alive until this method's future settles
+      return shard_.CallAsync("docs").Then([this](Value& docs) {
+        auto pass = std::make_shared<Pass>(docs.AsString(), core()->scheduler());
+        IndexNext(pass);
+        return pass->done.future();
+      });
     });
     methods().Register("summary", [this](const std::vector<Value>&) {
       Value::Map m;
@@ -137,6 +137,40 @@ class Indexer : public core::Anchor {
   }
 
  private:
+  /// One indexing pass over a shard's documents.
+  struct Pass {
+    Pass(const std::string& text, sim::Scheduler& sched)
+        : docs(text), done(sched) {}
+    std::istringstream docs;
+    std::int64_t indexed = 0;
+    sim::Promise<Value> done;
+  };
+
+  /// Indexes the pass's next word once the stopword table has answered
+  /// for it, then moves on to the word after.
+  void IndexNext(const std::shared_ptr<Pass>& pass) {
+    std::string word;
+    if (!(pass->docs >> word)) {
+      sites_ += core()->name() + " ";
+      pass->done.Resolve(Value("indexed " + std::to_string(pass->indexed) +
+                               " terms at " + core()->name()));
+      return;
+    }
+    stopwords_.CallAsync("contains", {Value(word)})
+        // fargolint: allow(capture-this) the executor keeps the anchor alive until indexHere's future settles
+        .OnSettle([this, pass, word](sim::Future<Value> f) {
+          if (!f.ok()) {
+            pass->done.Reject(f.error());
+            return;
+          }
+          if (!f.value().AsBool()) {
+            index_[word] += 1;
+            ++pass->indexed;
+          }
+          IndexNext(pass);
+        });
+  }
+
   core::ComletRef<Stopwords> stopwords_;
   core::ComletRef<Shard> shard_;
   std::map<std::string, std::int64_t> index_;

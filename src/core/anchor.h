@@ -12,28 +12,57 @@
 #pragma once
 
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <map>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "src/common/ids.h"
 #include "src/common/value.h"
 #include "src/core/fwd.h"
 #include "src/serial/registry.h"
+#include "src/sim/future.h"
 
 namespace fargo::core {
+
+/// A method's outcome as the executor sees it: its value, the error it threw
+/// (caught by the dispatch), or, from an async method, the pending future
+/// the call concludes from once it settles.
+struct MethodResult {
+  Value value;
+  std::exception_ptr error;
+  sim::Future<Value> pending;  ///< valid: the method has not finished yet
+};
+
+/// For dispatches nobody awaits (one-ways, move continuations, event
+/// deliveries): logs "<what> <name> failed: <why>" if `out` failed, now or
+/// once its pending future settles.
+void LogFailure(const MethodResult& out, const char* what,
+                const std::string& name);
 
 /// Registry of remotely invocable methods of an anchor.
 // fargo: domain(core)
 class MethodMap {
  public:
-  using Handler = std::function<Value(const std::vector<Value>&)>;
+  using Handler = std::function<MethodResult(const std::vector<Value>&)>;
 
   /// Registers `handler` under `name`; later registrations win (overrides).
-  void Register(std::string name, Handler handler) {
-    handlers_[std::move(name)] = std::move(handler);
+  /// A handler returning a Value is a sync method. One returning
+  /// sim::Future<Value> is an async method: it awaits other complets
+  /// through CallAsync instead of blocking, and the call concludes when its
+  /// future settles.
+  template <class F>
+  void Register(std::string name, F handler) {
+    handlers_[std::move(name)] =
+        [h = std::move(handler)](const std::vector<Value>& args) mutable {
+          if constexpr (std::is_same_v<decltype(h(args)), sim::Future<Value>>)
+            return MethodResult{Value(), nullptr, h(args)};
+          else
+            return MethodResult{Value(h(args)), nullptr, {}};
+        };
   }
 
   bool Contains(std::string_view name) const {
@@ -41,7 +70,8 @@ class MethodMap {
   }
 
   /// Invokes the named handler; throws FargoError for unknown methods.
-  Value Invoke(std::string_view name, const std::vector<Value>& args) const;
+  MethodResult Invoke(std::string_view name,
+                      const std::vector<Value>& args) const;
 
   /// Sorted method names, for the shell's introspection commands.
   std::vector<std::string> Names() const;
@@ -68,8 +98,8 @@ class Anchor : public serial::Serializable {
 
   /// Dispatches a (possibly remote) invocation. The default implementation
   /// consults the MethodMap; override for fully custom dispatch.
-  virtual Value Dispatch(std::string_view method,
-                         const std::vector<Value>& args) {
+  virtual MethodResult Dispatch(std::string_view method,
+                                const std::vector<Value>& args) {
     return methods_.Invoke(method, args);
   }
 

@@ -202,8 +202,8 @@ sim::Future<sim::Unit> Core::MoveIdAsync(ComletId target, CoreId dest,
                                          std::vector<Value> args) {
   sim::Scheduler::AffinityScope aff(id_.value);
   if (repository_.Contains(target)) {
-    return movement_->MoveLocalAsync(target, dest, std::move(continuation),
-                                     std::move(args));
+    return movement_->MoveLocalAsync<sim::Unit>(
+        target, dest, std::move(continuation), std::move(args));
   }
   // Not hosted here: route a move command through the tracker chain to
   // wherever the complet lives, via the system move method.
@@ -309,34 +309,48 @@ std::shared_ptr<serial::Serializable> Core::MaterializeObject(
 
 // ==== dispatch ===============================================================
 
-Value Core::DispatchLocal(ComletId target, std::string_view method,
-                          const std::vector<Value>& args) {
+MethodResult Core::DispatchLocal(ComletId target, std::string_view method,
+                                 const std::vector<Value>& args) {
   sim::Scheduler::AffinityScope aff(id_.value);
+  MethodResult result;
   std::shared_ptr<Anchor> anchor = repository_.Get(target);
-  if (!anchor)
-    throw FargoError("complet " + ToString(target) + " is not hosted at " +
-                     name_);
-  if (method == kPingMethod) return Value();
+  if (!anchor) {
+    result.error = std::make_exception_ptr(FargoError(
+        "complet " + ToString(target) + " is not hosted at " + name_));
+    return result;
+  }
+  if (method == kPingMethod) return result;
   if (method == kMethodsMethod) {
     Value::List names;
     for (std::string& n : anchor->methods().Names())
       names.push_back(Value(std::move(n)));
-    return Value(std::move(names));
+    result.value = Value(std::move(names));
+    return result;
   }
   exec_stack_.push_back(target);
   try {
-    Value result = anchor->Dispatch(method, args);
-    exec_stack_.pop_back();
-    // Post-dispatch state image: the method may have mutated the closure.
-    // Also on the throwing path below — a failed method may have mutated
-    // state before it threw, and durability must reflect what really ran.
+    result = anchor->Dispatch(method, args);
+  } catch (...) {
+    result.error = std::current_exception();
+  }
+  exec_stack_.pop_back();
+  if (!result.pending.valid()) {
+    // Post-dispatch state image: the method may have mutated the closure,
+    // also when it then threw — durability must reflect what really ran.
     LogComletState(target);
     return result;
-  } catch (...) {
-    exec_stack_.pop_back();
-    LogComletState(target);
-    throw;
   }
+  // An async method: its continuations capture the anchor, so keep it alive
+  // until the future settles, and image its state then. This continuation
+  // is registered before the executor's own, so the State record precedes
+  // the Exec record and its barrier.
+  result.pending.OnSettle(
+      // fargolint: allow(capture-this) Runtime clears pending events before destroying Cores
+      [this, target, anchor = std::move(anchor),
+       epoch = restart_epoch_](const sim::Future<Value>&) {
+        if (alive_ && restart_epoch_ == epoch) LogComletState(target);
+      });
+  return result;
 }
 
 void Core::LogComletState(ComletId target) {

@@ -233,11 +233,14 @@ class Core {
   // ==== runtime internals (used by the units, monitor, script, shell) ========
 
   /// Executes a method on a locally hosted complet (invocation unit's final
-  /// dispatch; also used for continuations and event delivery). Answers
-  /// ping and methods itself; __fargo.move is not a dispatch — the
-  /// invocation unit's run step starts the async move.
-  Value DispatchLocal(ComletId target, std::string_view method,
-                      const std::vector<Value>& args);
+  /// dispatch; also used for move continuations) and returns its outcome:
+  /// a missing target or a throwing method comes back as `error`, never as
+  /// an exception. Answers ping and methods itself; __fargo.move is not a
+  /// dispatch — the invocation unit's run step starts the async move. An
+  /// async method comes back pending; its State record is logged when it
+  /// settles.
+  MethodResult DispatchLocal(ComletId target, std::string_view method,
+                             const std::vector<Value>& args);
 
   /// Network receive entry point.
   void HandleMessage(net::Message msg);

@@ -124,60 +124,63 @@ sim::Future<InvokeResult> InvocationUnit::StartCall(
 }
 
 void InvocationUnit::DispatchLocalCall(const std::shared_ptr<AsyncCall>& call) {
-  Outcome out = Run(call->req.handle.id, call->req.method, call->req.args,
-                    call->root.ctx);
-  if (out.move.valid()) {
-    // No WAL barrier for a move: the movement protocol's own commit
-    // barriers gate its settle, so a resolved move is already as durable
-    // as this Core gets.
-    out.move.OnSettle(
-        // fargolint: allow(capture-this) the unit lives inside its Core, which outlives the cleared event queue
-        [this, call](sim::Future<sim::Unit> f) {
-          ConcludeLocal(call, Outcome{Value(), f.error(), {}});
-        });
+  MethodResult out = Run(call->req.handle.id, call->req.method,
+                         call->req.args, call->root.ctx);
+  if (!out.pending.valid()) {
+    ConcludeLocal(call, std::move(out));
     return;
   }
-  Wal* wal = core_.wal();
-  if (!out.error && wal != nullptr && !wal->replaying()) {
-    // A durable Core acknowledges execution only after a barrier covers
-    // the state records the dispatch appended — the caller must never
-    // act on a result the log could still lose.
-    const std::uint64_t epoch = core_.restart_epoch();
-    auto res = std::make_shared<InvokeResult>(
-        InvokeResult{std::move(out.value), core_.id(), 0});
-    wal->Sync().OnSettle(
-        // fargolint: allow(capture-this) the unit lives inside its Core, which outlives the cleared event queue
-        [this, call, res, epoch](sim::Future<sim::Unit>) mutable {
-          if (!core_.alive() || core_.restart_epoch() != epoch) {
-            FinalizeError(
-                call,
-                std::make_exception_ptr(UnreachableError(
-                    "core crashed before the invocation was durable")),
-                monitor::SpanOutcome::kTransportError);
-            return;
-          }
-          FinalizeOk(call, std::move(*res));
-        });
-    return;
-  }
-  ConcludeLocal(call, std::move(out));
+  const std::uint64_t epoch = core_.restart_epoch();
+  out.pending.OnSettle(
+      // fargolint: allow(capture-this) the unit lives inside its Core, which outlives the cleared event queue
+      [this, call, epoch](sim::Future<Value> f) {
+        MethodResult done = Settled(f);
+        if (!core_.alive() || core_.restart_epoch() != epoch)
+          done = {Value(), std::make_exception_ptr(UnreachableError(
+                               "core crashed before the invocation concluded")),
+                  {}};
+        ConcludeLocal(call, std::move(done));
+      });
 }
 
 void InvocationUnit::ConcludeLocal(const std::shared_ptr<AsyncCall>& call,
-                                   Outcome&& out) {
-  if (!out.error) {
+                                   MethodResult&& out) {
+  if (out.error) {
+    // An UnreachableError means the request never reached its target.
+    monitor::SpanOutcome outcome = monitor::SpanOutcome::kAppError;
+    try {
+      std::rethrow_exception(out.error);
+    } catch (const UnreachableError&) {
+      outcome = monitor::SpanOutcome::kTransportError;
+    } catch (...) {
+    }
+    FinalizeError(call, std::move(out.error), outcome);
+    return;
+  }
+  Wal* wal = core_.wal();
+  if (wal == nullptr || wal->replaying()) {
     FinalizeOk(call, InvokeResult{std::move(out.value), core_.id(), 0});
     return;
   }
-  // An UnreachableError means the request never reached its target.
-  monitor::SpanOutcome outcome = monitor::SpanOutcome::kAppError;
-  try {
-    std::rethrow_exception(out.error);
-  } catch (const UnreachableError&) {
-    outcome = monitor::SpanOutcome::kTransportError;
-  } catch (...) {
-  }
-  FinalizeError(call, std::move(out.error), outcome);
+  // A durable Core acknowledges execution only after a barrier covers the
+  // state records the dispatch appended — the caller must never act on a
+  // result the log could still lose.
+  const std::uint64_t epoch = core_.restart_epoch();
+  auto res = std::make_shared<InvokeResult>(
+      InvokeResult{std::move(out.value), core_.id(), 0});
+  wal->Sync().OnSettle(
+      // fargolint: allow(capture-this) the unit lives inside its Core, which outlives the cleared event queue
+      [this, call, res, epoch](sim::Future<sim::Unit>) mutable {
+        if (!core_.alive() || core_.restart_epoch() != epoch) {
+          FinalizeError(
+              call,
+              std::make_exception_ptr(UnreachableError(
+                  "core crashed before the invocation was durable")),
+              monitor::SpanOutcome::kTransportError);
+          return;
+        }
+        FinalizeOk(call, std::move(*res));
+      });
 }
 
 void InvocationUnit::AwaitRoute(const std::shared_ptr<AsyncCall>& call,
@@ -434,17 +437,8 @@ void InvocationUnit::Post(const ComletHandle& handle, std::string_view method,
         // fargolint: allow(capture-this) the unit lives inside its Core, which outlives the cleared event queue
         0, [this, id = handle.id, method = std::string(method),
             args = std::move(args)] {
-          Outcome out = Run(id, method, args, core_.tracer().Current());
-          if (out.move.valid()) {
-            out.move.OnSettle([method](sim::Future<sim::Unit> f) {
-              if (!f.ok())
-                LogWarn() << "one-way invocation of " << method
-                          << " failed: " << sim::ErrorMessage(f.error());
-            });
-          } else if (out.error) {
-            LogWarn() << "one-way invocation of " << method << " failed: "
-                      << sim::ErrorMessage(out.error);
-          }
+          LogFailure(Run(id, method, args, core_.tracer().Current()),
+                     "one-way invocation of", method);
         });
     return;
   }
@@ -630,27 +624,22 @@ void InvocationUnit::ForwardRequest(wire::InvokeRequest rq,
   core_.formation().Enqueue(std::move(fwd), net::Formation::Lane::kImmediate);
 }
 
-InvocationUnit::Outcome InvocationUnit::Run(ComletId target,
-                                            const std::string& method,
-                                            const std::vector<Value>& args,
-                                            const wire::TraceContext& ctx) {
+MethodResult InvocationUnit::Run(ComletId target, const std::string& method,
+                                 const std::vector<Value>& args,
+                                 const wire::TraceContext& ctx) {
   core_.inst_.execs->Inc();
   monitor::TraceScope scope(core_.tracer(), ctx);
-  Outcome out;
-  if (method == kMoveMethod) {
-    out.move = StartMove(target, args);
-    return out;
-  }
-  try {
-    out.value = core_.DispatchLocal(target, method, args);
-  } catch (...) {
-    out.error = std::current_exception();
-  }
-  return out;
+  if (method == kMoveMethod) return {Value(), nullptr, StartMove(target, args)};
+  return core_.DispatchLocal(target, method, args);
 }
 
-sim::Future<sim::Unit> InvocationUnit::StartMove(
-    ComletId target, const std::vector<Value>& args) {
+MethodResult InvocationUnit::Settled(sim::Future<Value>& f) {
+  if (!f.ok()) return {Value(), f.error(), {}};
+  return {f.Take(), nullptr, {}};
+}
+
+sim::Future<Value> InvocationUnit::StartMove(ComletId target,
+                                             const std::vector<Value>& args) {
   // Marshal + transition happen synchronously inside MoveLocalAsync, so
   // invocations racing the stream park immediately; the returned future
   // settles once the destination acknowledges (or the move rolls back).
@@ -659,13 +648,13 @@ sim::Future<sim::Unit> InvocationUnit::StartMove(
       throw FargoError("complet " + ToString(target) + " is not hosted at " +
                        core_.name());
     CoreId dest{static_cast<std::uint32_t>(args.at(0).AsInt())};
-    return core_.movement().MoveLocalAsync(target, dest, args.at(1).AsString(),
-                                           args.at(2).AsList());
+    return core_.movement().MoveLocalAsync<Value>(
+        target, dest, args.at(1).AsString(), args.at(2).AsList());
   } catch (const UnreachableError& e) {
-    return sim::MakeErrorFuture<sim::Unit>(core_.scheduler(), e);
+    return sim::MakeErrorFuture<Value>(core_.scheduler(), e);
   } catch (const std::exception& e) {
-    return sim::MakeErrorFuture<sim::Unit>(core_.scheduler(),
-                                           FargoError(e.what()));
+    return sim::MakeErrorFuture<Value>(core_.scheduler(),
+                                       FargoError(e.what()));
   }
 }
 
@@ -675,19 +664,20 @@ void InvocationUnit::ExecuteAndReply(const wire::InvokeRequest& rq,
   const monitor::Tracer::Opened exec = core_.tracer().OpenSpan(
       monitor::SpanKind::kExec, rq.method, rq.trace, core_.scheduler().Now(),
       rq.trace.retry);
-  Outcome out = Run(rq.handle.id, rq.method, rq.args, exec.ctx);
-  if (!out.move.valid()) {
+  MethodResult out = Run(rq.handle.id, rq.method, rq.args, exec.ctx);
+  if (!out.pending.valid()) {
     Conclude(rq, correlation, skey, exec, std::move(out));
     return;
   }
-  // A move concludes from its settle. A settle that outlives this Core's
-  // incarnation (crash or restart) must not answer or record anything.
+  // A pending run concludes from its settle. A settle that outlives this
+  // Core's incarnation (crash or restart) must not answer or record
+  // anything.
   const std::uint64_t epoch = core_.restart_epoch();
-  out.move.OnSettle(
+  out.pending.OnSettle(
       // fargolint: allow(capture-this) the unit lives inside its Core, which outlives the cleared event queue
-      [this, rq, correlation, skey, exec, epoch](sim::Future<sim::Unit> f) {
+      [this, rq, correlation, skey, exec, epoch](sim::Future<Value> f) {
         if (!core_.alive() || core_.restart_epoch() != epoch) return;
-        Conclude(rq, correlation, skey, exec, Outcome{Value(), f.error(), {}});
+        Conclude(rq, correlation, skey, exec, Settled(f));
       });
 }
 
@@ -695,7 +685,7 @@ void InvocationUnit::Conclude(const wire::InvokeRequest& rq,
                               std::uint64_t correlation,
                               const net::SessionKey& skey,
                               const monitor::Tracer::Opened& exec,
-                              Outcome&& out) {
+                              MethodResult&& out) {
   core_.tracer().CloseSpan(exec.token, core_.scheduler().Now(),
                            out.error ? monitor::SpanOutcome::kAppError
                                      : monitor::SpanOutcome::kOk,
@@ -704,9 +694,7 @@ void InvocationUnit::Conclude(const wire::InvokeRequest& rq,
     // Reply-less flow: mark the slot complete (with an empty cached reply —
     // duplicates are dropped, not re-answered) and still shorten the
     // chain; errors die here with a log line.
-    if (out.error)
-      LogWarn() << "one-way invocation of " << rq.method << " failed: "
-                << sim::ErrorMessage(out.error);
+    LogFailure(out, "one-way invocation of", rq.method);
     core_.replay().Complete(skey, net::MessageKind::kInvokeReply, {});
     // No reply carries this slot state into the log (Core::Reply logs the
     // two-way ones), so record it here: a recovered executor must keep

@@ -5,9 +5,11 @@
 // Invocations run as an explicit asynchronous state machine: each call is
 // one heap-allocated AsyncCall record, which embeds the state of the future
 // the caller holds, driven entirely by scheduled continuations (send →
-// timeout → backoff → resend → reply), never by re-entrant scheduler pumps.
-// The synchronous Invoke is a thin wrapper that pumps the scheduler at top
-// level until the call's future settles.
+// timeout → backoff → resend → reply). The executor never blocks either: a
+// sync method concludes at once, an async method (and __fargo.move)
+// concludes from its pending future's settle. The synchronous Invoke is a
+// thin wrapper for the outermost caller: it pumps the scheduler until the
+// call's future settles, and throws if a pump is already running.
 #pragma once
 
 #include <cstdint>
@@ -132,29 +134,26 @@ class InvocationUnit {
                                       const std::string& method,
                                       std::vector<Value> args);
 
-  /// What the run step hands to the conclude step.
-  struct Outcome {
-    Value value;
-    std::exception_ptr error;  ///< null: the method returned `value`
-    /// Valid when the run only started an async move (__fargo.move): the
-    /// outcome is then concluded from this future's settle.
-    sim::Future<sim::Unit> move;
-  };
-
   /// The run step every executor shares: runs `method` on the complet
-  /// hosted here, inside trace context `ctx`. An application method (or
-  /// ping/methods) runs to completion; __fargo.move only starts the move.
-  Outcome Run(ComletId target, const std::string& method,
-              const std::vector<Value>& args, const wire::TraceContext& ctx);
+  /// hosted here, inside trace context `ctx`, and hands its outcome to the
+  /// conclude step. A sync method (or ping/methods) comes back finished; an
+  /// async method and __fargo.move come back pending, and conclude from the
+  /// pending future's settle.
+  MethodResult Run(ComletId target, const std::string& method,
+                   const std::vector<Value>& args,
+                   const wire::TraceContext& ctx);
+  /// The outcome a settled pending future carries.
+  static MethodResult Settled(sim::Future<Value>& f);
   /// Starts a hosted complet's async move from __fargo.move's arguments;
   /// argument errors and a vanished target come back as a rejected future.
-  sim::Future<sim::Unit> StartMove(ComletId target,
-                                   const std::vector<Value>& args);
+  sim::Future<Value> StartMove(ComletId target,
+                               const std::vector<Value>& args);
 
   /// Origin side of a call whose target is hosted here: run, then conclude
   /// into the call's future (ConcludeLocal).
   void DispatchLocalCall(const std::shared_ptr<AsyncCall>& call);
-  void ConcludeLocal(const std::shared_ptr<AsyncCall>& call, Outcome&& out);
+  void ConcludeLocal(const std::shared_ptr<AsyncCall>& call,
+                     MethodResult&& out);
   void AwaitRoute(const std::shared_ptr<AsyncCall>& call, SimTime deadline);
   void ResumeAfterRoute(const std::shared_ptr<AsyncCall>& call,
                         SimTime deadline);
@@ -188,8 +187,8 @@ class InvocationUnit {
                       TrackerEntry& entry);
 
   /// Executor side of a routed request: opens the exec span, runs, and
-  /// concludes (Conclude) — inline, or from a move's settle when the Core
-  /// has not restarted meanwhile.
+  /// concludes (Conclude) — inline, or from the pending future's settle
+  /// when the Core has not restarted meanwhile.
   void ExecuteAndReply(const wire::InvokeRequest& rq,
                        std::uint64_t correlation,
                        const net::SessionKey& skey);
@@ -198,7 +197,7 @@ class InvocationUnit {
   /// the chain unless a two-way call failed.
   void Conclude(const wire::InvokeRequest& rq, std::uint64_t correlation,
                 const net::SessionKey& skey,
-                const monitor::Tracer::Opened& exec, Outcome&& out);
+                const monitor::Tracer::Opened& exec, MethodResult&& out);
   void SendShorteningUpdates(const wire::InvokeRequest& rq,
                              const wire::TraceContext& ctx);
 

@@ -146,27 +146,23 @@ void MovementUnit::MarshalSection(
   out.WriteBytes(body.buffer());
 }
 
-sim::Future<sim::Unit> MovementUnit::MoveLocalAsync(ComletId primary,
-                                                    CoreId dest,
-                                                    std::string continuation,
-                                                    std::vector<Value> args) {
+template <class R>
+sim::Future<R> MovementUnit::MoveLocalAsync(ComletId primary, CoreId dest,
+                                            std::string continuation,
+                                            std::vector<Value> args) {
   sim::Scheduler::AffinityScope aff(core_.id().value);
   sim::Scheduler& sched = core_.scheduler();
   std::shared_ptr<Anchor> anchor = core_.repository().Get(primary);
   if (!anchor)
-    return sim::MakeErrorFuture<sim::Unit>(
+    return sim::MakeErrorFuture<R>(
         sched, FargoError("move: complet " + ToString(primary) +
                           " is not hosted at " + ToString(core_.id())));
   if (dest == core_.id()) {
-    sim::Promise<sim::Unit> done(sched);
-    try {
-      if (!continuation.empty())
-        core_.DispatchLocal(primary, continuation, args);
-      done.Resolve(sim::Unit{});
-    } catch (...) {
-      done.Reject(std::current_exception());
-    }
-    return done.future();
+    // Already there: only the continuation runs (logged like any other).
+    if (!continuation.empty())
+      LogFailure(core_.DispatchLocal(primary, continuation, args),
+                 "continuation", continuation + " on " + ToString(primary));
+    return sim::MakeReadyFuture(sched, R{});
   }
 
   stats_ = MoveStats{};
@@ -256,7 +252,7 @@ sim::Future<sim::Unit> MovementUnit::MoveLocalAsync(ComletId primary,
   pending->bytes = stats_.stream_bytes;
   pending->txn = txn;
 
-  sim::Promise<sim::Unit> done(sched);
+  sim::Promise<R> done(sched);
   std::vector<std::uint8_t> stream = payload.Take();
 
   const std::uint64_t settle_epoch = core_.restart_epoch();
@@ -367,7 +363,7 @@ sim::Future<sim::Unit> MovementUnit::MoveLocalAsync(ComletId primary,
         // future settles once they all land (or fail — logged, not fatal).
         auto remaining = std::make_shared<std::size_t>(pending->pulls.size());
         if (*remaining == 0) {
-          done.Resolve(sim::Unit{});
+          done.Resolve(R{});
           return;
         }
         for (ComletId id : pending->pulls) {
@@ -376,7 +372,7 @@ sim::Future<sim::Unit> MovementUnit::MoveLocalAsync(ComletId primary,
                 if (!pf.ok())
                   LogWarn() << "deferred pull of " << ToString(id)
                             << " failed: " << sim::ErrorMessage(pf.error());
-                if (--*remaining == 0) done.Resolve(sim::Unit{});
+                if (--*remaining == 0) done.Resolve(R{});
               });
         }
       };
@@ -413,6 +409,11 @@ sim::Future<sim::Unit> MovementUnit::MoveLocalAsync(ComletId primary,
   }
   return done.future();
 }
+
+template sim::Future<sim::Unit> MovementUnit::MoveLocalAsync<sim::Unit>(
+    ComletId, CoreId, std::string, std::vector<Value>);
+template sim::Future<Value> MovementUnit::MoveLocalAsync<Value>(
+    ComletId, CoreId, std::string, std::vector<Value>);
 
 MovementUnit::DecodedSection MovementUnit::DecodeSection(serial::Reader& r) {
   DecodedSection section;
@@ -552,12 +553,8 @@ void MovementUnit::HandleMoveRequest(net::Message msg) {
   // method after unmarshaling.
   if (has_continuation) {
     monitor::TraceScope scope(core_.tracer(), install.ctx);
-    try {
-      core_.DispatchLocal(primary, continuation, cont_args);
-    } catch (const std::exception& e) {
-      LogWarn() << "continuation " << continuation << " on "
-                << ToString(primary) << " failed: " << e.what();
-    }
+    LogFailure(core_.DispatchLocal(primary, continuation, cont_args),
+               "continuation", continuation + " on " + ToString(primary));
   }
 }
 

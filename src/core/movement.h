@@ -58,10 +58,13 @@ class MovementUnit {
   /// stream start parking at once), then settles the returned future when
   /// the destination acknowledges AND every deferred remote pull has run
   /// its course (pull failures are logged, never propagated). Rejects, with
-  /// the complets rolled back, when the move fails.
-  sim::Future<sim::Unit> MoveLocalAsync(ComletId primary, CoreId dest,
-                                        std::string continuation,
-                                        std::vector<Value> args);
+  /// the complets rolled back, when the move fails. `R` is what the future
+  /// settles with: sim::Unit for the Core's move API, Value for the
+  /// executor's __fargo.move, which concludes like any async method.
+  template <class R>
+  sim::Future<R> MoveLocalAsync(ComletId primary, CoreId dest,
+                                std::string continuation,
+                                std::vector<Value> args);
 
   /// Handles an inbound migration stream.
   void HandleMoveRequest(net::Message msg);

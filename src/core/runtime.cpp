@@ -65,12 +65,6 @@ Runtime::Runtime(const RuntimeOptions& options)
   // locality engine's lookahead window.
   if (auto* p = dynamic_cast<sim::ParallelScheduler*>(scheduler_.get()))
     p->SetLookahead([&net = network_] { return net.min_latency(); });
-  // Max-gauge of scheduler pump nesting: the async invocation pipeline keeps
-  // this at 1; anything deeper means a blocking wait re-entered the pump.
-  scheduler_->SetPumpObserver(
-      [&depth = metrics_.gauge("sched.pump_depth")](int d) {
-        if (d > static_cast<int>(depth.value())) depth.Set(d);
-      });
 }
 
 Runtime::~Runtime() {

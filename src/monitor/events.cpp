@@ -185,12 +185,10 @@ void EventBus::Notify(const Listener& listener, const Event& event) {
 Listener ComletListener(core::Core& core, ComletHandle listener,
                         std::string method) {
   return [&core, listener, method](const Event& e) {
-    try {
-      core.RefFromHandle(listener).Call(method, {EventToValue(e)});
-    } catch (const std::exception& ex) {
-      LogWarn() << "event delivery to complet " << ToString(listener.id)
-                << "." << method << " failed: " << ex.what();
-    }
+    core::LogFailure(
+        {Value(), nullptr,
+         core.RefFromHandle(listener).CallAsync(method, {EventToValue(e)})},
+        "event delivery to complet", ToString(listener.id) + "." + method);
   };
 }
 

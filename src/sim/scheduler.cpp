@@ -38,18 +38,19 @@ bool Scheduler::AffinityScope::Current(std::uint64_t& affinity) {
 }
 
 Scheduler::PumpGuard::PumpGuard(Scheduler& s) : sched_(s) {
-  if (detail::tl_no_pump > 0)
-    throw FargoError(
-        "re-entrant scheduler pump inside a no-pump section (the async "
-        "invocation pipeline must use continuations, not blocking waits)");
   if (detail::tl_worker_locality >= 0)
     throw FargoError(
         "scheduler pump from a locality worker thread (only the conductor "
         "may pump; handlers must be non-blocking state machines)");
-  ++sched_.pump_depth_;
-  if (sched_.pump_depth_ > sched_.max_pump_depth_)
-    sched_.max_pump_depth_ = sched_.pump_depth_;
-  if (sched_.pump_observer_) sched_.pump_observer_(sched_.pump_depth_);
+  if (detail::tl_no_pump > 0)
+    throw FargoError(
+        "re-entrant scheduler pump inside a no-pump section (the async "
+        "invocation pipeline must use continuations, not blocking waits)");
+  if (sched_.pumping_)
+    throw FargoError(
+        "scheduler pump inside a running pump (handlers never block: a "
+        "complet method or listener returns a future instead of waiting)");
+  sched_.pumping_ = true;
 }
 
 TaskId SimScheduler::ScheduleAt(SimTime t, Task fn) {

@@ -14,13 +14,12 @@
 //    Same virtual-time semantics, same observable results (DESIGN.md
 //    §localities), run-to-run deterministic for a fixed N.
 //
-// The asynchronous invocation pipeline (DESIGN.md §5) never pumps from
-// inside an event handler: RPC machinery is written as scheduled
-// continuations, and NoPumpScope enforces that invariant at run time. Only
-// the top-level synchronous API wrappers pump (RunUntil and friends), and
-// the scheduler keeps pump-depth accounting so tests can assert the
-// invocation path stays at depth ≤ 1. Pumps are a conductor-thread
-// privilege: a locality worker entering a pump throws.
+// Handlers never block (DESIGN.md §5): RPC machinery, complet methods and
+// listeners are written as scheduled continuations. Only the outermost
+// caller pumps (RunUntil and friends), and one rule enforces it on both
+// engines: entering a pump while a pump of the same scheduler is running
+// throws, as does a pump from a locality worker thread or from inside a
+// NoPumpScope.
 #pragma once
 
 #include <cstdint>
@@ -107,11 +106,11 @@ class Scheduler {
   virtual void RunUntilIdle() = 0;
 
   /// Runs events until `pred()` holds; throws FargoError if the queue
-  /// drains first (a lost reply would otherwise hang forever). Re-entrant.
+  /// drains first (a lost reply would otherwise hang forever).
   virtual void RunUntil(const std::function<bool()>& pred) = 0;
 
   /// Like RunUntil, but gives up at absolute time `deadline`. Returns true
-  /// if the predicate held, false on timeout or drain. Re-entrant.
+  /// if the predicate held, false on timeout or drain.
   virtual bool RunUntilOr(const std::function<bool()>& pred,
                           SimTime deadline) = 0;
 
@@ -137,23 +136,6 @@ class Scheduler {
   /// Number of locality worker threads. 0 = deterministic single-threaded
   /// sim (the conductor thread executes events itself).
   virtual int localities() const { return 0; }
-
-  // -- pump-depth accounting ---------------------------------------------------
-
-  /// How many pump loops (RunUntil/RunUntilOr/RunUntilIdle/RunFor/RunOne at
-  /// top level) are currently on the call stack. 0 outside any pump; the
-  /// async pipeline keeps this at ≤ 1.
-  int PumpDepth() const { return pump_depth_; }
-
-  /// Deepest nesting ever observed (telemetry; mirrored into the
-  /// `sched.pump_depth` max-gauge by Runtime).
-  int MaxPumpDepth() const { return max_pump_depth_; }
-
-  /// Called with the new depth every time a pump is entered. Runtime wires
-  /// this to the metrics registry.
-  void SetPumpObserver(std::function<void(int)> obs) {
-    pump_observer_ = std::move(obs);
-  }
 
   /// RAII: while alive, entering any pump loop *on this thread* throws
   /// FargoError. The async RPC machinery holds one of these across its
@@ -195,13 +177,14 @@ class Scheduler {
   };
 
  protected:
-  /// RAII around every pump loop: bumps depth, notifies the observer, and
-  /// rejects entry from inside a NoPumpScope or from a locality worker.
+  /// RAII around every pump loop: rejects entry while another pump of this
+  /// scheduler runs (a handler that blocked), from inside a NoPumpScope, or
+  /// from a locality worker.
   // fargo: domain(sim)
   class PumpGuard {
    public:
     explicit PumpGuard(Scheduler& s);
-    ~PumpGuard() { --sched_.pump_depth_; }
+    ~PumpGuard() { sched_.pumping_ = false; }
     PumpGuard(const PumpGuard&) = delete;
     PumpGuard& operator=(const PumpGuard&) = delete;
 
@@ -209,9 +192,8 @@ class Scheduler {
     Scheduler& sched_;
   };
 
-  int pump_depth_ = 0;
-  int max_pump_depth_ = 0;
-  std::function<void(int)> pump_observer_;
+ private:
+  bool pumping_ = false;
 };
 
 /// The single-threaded deterministic pump: one event queue ordered by

@@ -7,9 +7,6 @@ namespace fargo::testing {
 namespace {
 
 class FailureTest : public FargoTest {};
-// For listeners that issue blocking moves from inside an event handler —
-// sim-only (the locality engine requires non-blocking handlers).
-class FailureSimTest : public FargoSimTest {};
 
 TEST_F(FailureTest, InvokeAcrossPartitionTimesOutThenRecovers) {
   auto cores = MakeCores(2);
@@ -88,7 +85,7 @@ TEST_F(FailureTest, ParkedRequestsTimeOutIfTheCompletNeverArrives) {
   EXPECT_THROW(ref.Call("text"), UnreachableError);
 }
 
-TEST_F(FailureSimTest, ShutdownDuringGraceStillServesMoves) {
+TEST_F(FailureTest, ShutdownDuringGraceStillServesMoves) {
   // During the grace window the dying core is fully operative: moves out
   // of it succeed even when requested mid-shutdown by a listener.
   auto cores = MakeCores(3);
@@ -96,14 +93,19 @@ TEST_F(FailureSimTest, ShutdownDuringGraceStillServesMoves) {
   auto b = cores[1]->New<Counter>();
   a.Call("increment");
   b.Call("increment", {Value(2)});
+  // The listener acts through the dying Core itself, so it is registered
+  // there, and moves without blocking.
   int moved = 0;
-  cores[0]->ListenAt(cores[1]->id(), monitor::EventKind::kCoreShutdown,
-                     [&](const monitor::Event&) {
-                       for (ComletId id : cores[1]->ComletsHere()) {
-                         cores[1]->MoveId(id, cores[2]->id());
-                         ++moved;
-                       }
-                     });
+  core::Core* dying = cores[1];
+  const CoreId dest = cores[2]->id();
+  dying->ListenAt(dying->id(), monitor::EventKind::kCoreShutdown,
+                  [dying, dest, &moved](const monitor::Event&) {
+                    for (ComletId id : dying->ComletsHere())
+                      dying->MoveIdAsync(id, dest).OnSettle(
+                          [&moved](sim::Future<sim::Unit> f) {
+                            if (f.ok()) ++moved;
+                          });
+                  });
   cores[1]->Shutdown(Millis(500));
   EXPECT_EQ(moved, 2);
   // The original stubs lived at the now-dead core; a client at a survivor

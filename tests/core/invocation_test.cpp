@@ -10,9 +10,6 @@ namespace {
 using core::ComletRef;
 
 class InvocationTest : public FargoTest {};
-// Nested *synchronous* invocations block inside an executor handler — a
-// sim-only idiom (the locality engine requires non-blocking handlers).
-class InvocationSimTest : public FargoSimTest {};
 
 /// Echo anchor: returns its arguments, used to round-trip every Value kind
 /// through the full wire path.
@@ -26,11 +23,11 @@ class Echo : public core::Anchor {
     methods().Register("callOther", [this](const std::vector<Value>& args) {
       // Nested invocation: call `method` on the handle we received.
       auto other = core()->RefFromHandle(args.at(0).AsHandle());
-      return other.Call(args.at(1).AsString());
+      return other.CallAsync(args.at(1).AsString());
     });
     methods().Register("selfCall", [this](const std::vector<Value>&) {
       // Re-entrant local dispatch through the Core.
-      return core()->DispatchLocal(id(), "echo", {Value(1)});
+      return core()->DispatchLocal(id(), "echo", {Value(1)}).value;
     });
   }
   std::string_view TypeName() const override { return kTypeName; }
@@ -74,7 +71,7 @@ TEST_F(InvocationTest, LargeArgumentsSurvive) {
   EXPECT_EQ(result.AsList().at(0).AsString(), big);
 }
 
-TEST_F(InvocationSimTest, NestedCrossCoreInvocations) {
+TEST_F(InvocationTest, NestedCrossCoreInvocations) {
   // core2 calls echo@core0, whose handler calls a counter@core1.
   auto cores = MakeCores(3);
   auto echo = cores[0]->New<Echo>();

@@ -8,11 +8,8 @@ namespace fargo::testing {
 namespace {
 
 class MovementDetailTest : public FargoTest {};
-// For workloads using the blocking in-handler idiom (Worker.work nests a
-// synchronous Invoke); the locality engine rejects those by design.
-class MovementDetailSimTest : public FargoSimTest {};
 
-TEST_F(MovementDetailSimTest, ContinuationReceivesHandleArguments) {
+TEST_F(MovementDetailTest, ContinuationReceivesHandleArguments) {
   // The continuation gets a complet handle and can interact through it —
   // parameters pass by reference, degraded to link (§3.1).
   auto cores = MakeCores(2);

@@ -20,8 +20,10 @@ class BlobEater : public core::Anchor {
       last_value_ = tree->value;
       shared_ = tree->left != nullptr && tree->left == tree->right;
       // Use the embedded (degraded) ref if present.
-      if (tree->counter) tree->counter.Call("increment");
-      return Value(last_value_);
+      if (!tree->counter)
+        return sim::MakeReadyFuture(core()->scheduler(), Value(last_value_));
+      return tree->counter.CallAsync("increment").Then(
+          [value = last_value_](Value&) { return Value(value); });
     });
     methods().Register("produce", [this](const std::vector<Value>& args) {
       TreeNode root;
@@ -58,13 +60,6 @@ class ParameterPassingTest : public FargoTest {
   ParameterPassingTest() { (void)kReg; }
 };
 
-// BlobEater.consume invokes the embedded ref synchronously from inside
-// its handler — the blocking idiom the locality engine rejects. Sim-pinned.
-class ParameterPassingSimTest : public FargoSimTest {
- protected:
-  ParameterPassingSimTest() { (void)kReg; }
-};
-
 TEST_F(ParameterPassingTest, ObjectGraphByValueAcrossTheWire) {
   auto cores = MakeCores(2);
   auto eater = cores[0]->New<BlobEater>();
@@ -92,7 +87,7 @@ TEST_F(ParameterPassingTest, CopyIsDeepTheSenderKeepsItsObject) {
   EXPECT_EQ(remote.Call("consume", {Value(blob)}).AsInt(), 1);
 }
 
-TEST_F(ParameterPassingSimTest, EmbeddedRefIsLiveAndCompletNotCopied) {
+TEST_F(ParameterPassingTest, EmbeddedRefIsLiveAndCompletNotCopied) {
   auto cores = MakeCores(3);
   auto counter = cores[2]->New<Counter>();  // lives at a third core
   auto eater = cores[0]->New<BlobEater>();

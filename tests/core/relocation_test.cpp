@@ -10,9 +10,7 @@ namespace {
 
 using core::ComletRef;
 
-// Worker.work does a nested synchronous Invoke from inside its handler —
-// the blocking idiom the locality engine rejects by design. Sim-pinned.
-class RelocationTest : public FargoSimTest {};
+class RelocationTest : public FargoTest {};
 
 // Builds worker(+relocator kind)->data on cores[0] and returns both refs.
 struct Pair {
@@ -341,7 +339,7 @@ TEST_F(RelocationTest, UserDefinedRelocatorExtendsTheHierarchy) {
   EXPECT_EQ(small.worker.Invoke<std::string>("refType"), "pull-if-small");
 }
 
-class RefTypeSweep : public FargoSimTest,
+class RefTypeSweep : public FargoTest,
                      public ::testing::WithParamInterface<const char*> {};
 
 TEST_P(RefTypeSweep, WorkerRemainsFunctionalAfterMove) {

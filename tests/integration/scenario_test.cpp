@@ -8,9 +8,7 @@
 namespace fargo::testing {
 namespace {
 
-// Scenario scripts drive blocking rule commands and Worker.work-style
-// nested synchronous invokes — sim-pinned (DESIGN.md §localities).
-class ScenarioTest : public FargoSimTest {};
+class ScenarioTest : public FargoTest {};
 
 TEST_F(ScenarioTest, ColocationCutsRequestLatency) {
   // A worker separated from its data source by a slow WAN link; colocating
@@ -188,16 +186,16 @@ TEST_F(ScenarioTest, ClosureWithSharedStructureMovesIntact) {
 TEST_F(ScenarioTest, LoadBalancingViaThresholdEvents) {
   // completLoad above threshold at a core triggers spreading complets to
   // the least-loaded core (API-level relocation programming, §4).
+  // The listener moves complets of the busy Core, so it runs there.
   auto cores = MakeCores(3);
-  core::Core& admin = *cores[0];
-  admin.ListenThresholdAt(
-      cores[1]->id(), monitor::ComletLoadProbe(), 6.0,
-      monitor::Trigger::kAbove, Millis(50), [&](const monitor::Event&) {
-        core::Core* busy = rt.Find(cores[1]->id());
+  core::Core* busy = cores[1];
+  busy->ListenThresholdAt(
+      busy->id(), monitor::ComletLoadProbe(), 6.0, monitor::Trigger::kAbove,
+      Millis(50), [busy, dest = cores[2]->id()](const monitor::Event&) {
         std::vector<ComletId> here = busy->ComletsHere();
         // Move half of the complets away.
         for (std::size_t i = 0; i < here.size() / 2; ++i)
-          busy->MoveId(here[i], cores[2]->id());
+          busy->MoveIdAsync(here[i], dest);
       });
   for (int i = 0; i < 10; ++i) cores[1]->New<Message>("m");
   rt.RunFor(Seconds(1));

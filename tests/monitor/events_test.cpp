@@ -15,9 +15,6 @@ using monitor::InvocationRateProbe;
 using monitor::Trigger;
 
 class EventsTest : public FargoTest {};
-// For listeners that run blocking moves/invokes inside the event handler
-// (evacuation, migration churn) — sim-only by design.
-class EventsSimTest : public FargoSimTest {};
 
 TEST_F(EventsTest, ArrivalAndDepartureFireOnMovement) {
   auto cores = MakeCores(2);
@@ -168,7 +165,7 @@ TEST_F(EventsTest, RemoteThresholdListener) {
   EXPECT_EQ(fires, 1);
 }
 
-TEST_F(EventsSimTest, CompletListenerSurvivesMigration) {
+TEST_F(EventsTest, CompletListenerSurvivesMigration) {
   // A complet registers for remote events, then migrates; it keeps
   // receiving them because delivery goes through its tracked reference.
   auto cores = MakeCores(3);
@@ -178,11 +175,12 @@ TEST_F(EventsSimTest, CompletListenerSurvivesMigration) {
   // Re-purpose Counter.increment(event-map)? increment expects int; use a
   // dedicated wrapper: deliver event -> increment by 1 via a lambda.
   (void)deliver;
-  cores[0]->ListenAt(cores[0]->id(), EventKind::kComletArrived,
-                     [&, ref = counter](const Event&) mutable {
-                       // Invocation through the ref tracks the listener.
-                       cores[0]->RefFromHandle(ref.handle()).Call("increment");
-                     });
+  core::Core* here = cores[0];
+  here->ListenAt(here->id(), EventKind::kComletArrived,
+                 [here, handle = counter.handle()](const Event&) {
+                   // Invocation through the ref tracks the listener.
+                   here->RefFromHandle(handle).CallAsync("increment");
+                 });
   cores[0]->New<Message>("one");
   rt.RunUntilIdle();
   EXPECT_EQ(counter.Invoke<std::int64_t>("get"), 1);
@@ -194,18 +192,19 @@ TEST_F(EventsSimTest, CompletListenerSurvivesMigration) {
   EXPECT_EQ(counter.Invoke<std::int64_t>("get"), 2);
 }
 
-TEST_F(EventsSimTest, ShutdownEventEnablesEvacuation) {
+TEST_F(EventsTest, ShutdownEventEnablesEvacuation) {
   // The paper's reliability use case: on CoreShutdown, migrate complets to
   // a safe core to keep the application alive.
   auto cores = MakeCores(3);
   auto m1 = cores[1]->New<Message>("a");
   auto m2 = cores[1]->New<Message>("b");
-  cores[0]->ListenAt(cores[1]->id(), EventKind::kCoreShutdown,
-                     [&](const Event& e) {
-                       core::Core* dying = rt.Find(e.source);
-                       for (ComletId id : dying->ComletsHere())
-                         dying->MoveId(id, cores[2]->id());
-                     });
+  // The listener acts through the dying Core, so it is registered there.
+  core::Core* dying = cores[1];
+  dying->ListenAt(dying->id(), EventKind::kCoreShutdown,
+                  [dying, safe = cores[2]->id()](const Event&) {
+                    for (ComletId id : dying->ComletsHere())
+                      dying->MoveIdAsync(id, safe);
+                  });
   cores[1]->Shutdown(Millis(500));
   rt.RunUntilIdle();
   EXPECT_FALSE(cores[1]->alive());
@@ -218,7 +217,7 @@ TEST_F(EventsSimTest, ShutdownEventEnablesEvacuation) {
   EXPECT_EQ(survivor.Call("text").AsString(), "a");
 }
 
-TEST_F(EventsSimTest, GracefulShutdownFlushesForwardingKnowledge) {
+TEST_F(EventsTest, GracefulShutdownFlushesForwardingKnowledge) {
   // Chains that pass through a gracefully shut-down core keep resolving:
   // the dying core broadcasts its tracker knowledge before detaching.
   auto cores = MakeCores(4);
@@ -226,12 +225,13 @@ TEST_F(EventsSimTest, GracefulShutdownFlushesForwardingKnowledge) {
   auto observer = cores[3]->RefTo<Message>(msg.handle());  // hint: core1
   (void)observer;
   // msg evacuates itself when core1 announces shutdown.
-  cores[0]->ListenAt(cores[1]->id(), EventKind::kCoreShutdown,
-                     [&](const Event& e) {
-                       core::Core* dying = rt.Find(e.source);
-                       for (ComletId id : dying->ComletsHere())
-                         dying->MoveId(id, cores[2]->id());
-                     });
+  // The listener acts through the dying Core, so it is registered there.
+  core::Core* dying = cores[1];
+  dying->ListenAt(dying->id(), EventKind::kCoreShutdown,
+                  [dying, safe = cores[2]->id()](const Event&) {
+                    for (ComletId id : dying->ComletsHere())
+                      dying->MoveIdAsync(id, safe);
+                  });
   cores[1]->Shutdown(Millis(500));
   rt.RunUntilIdle();
   // The observer's stub still routes: core3 learned core1's forwarding

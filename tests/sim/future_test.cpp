@@ -247,35 +247,18 @@ TEST(FutureTest, CancelSettlesWithError) {
   EXPECT_THROW(f.Take(), FargoError);
 }
 
-// ---- pump-depth accounting --------------------------------------------------
+// ---- the pump rule --------------------------------------------------------
 
-TEST(PumpDepthTest, TopLevelPumpIsDepthOne) {
-  SimScheduler sched;
-  sched.ScheduleAfter(1, [] {});
-  EXPECT_EQ(sched.PumpDepth(), 0);
-  sched.RunUntilIdle();
-  EXPECT_EQ(sched.MaxPumpDepth(), 1);
-}
-
-TEST(PumpDepthTest, NestedPumpInsideAnEventIsDepthTwo) {
-  SimScheduler sched;
-  sched.ScheduleAfter(1, [&sched] {
-    EXPECT_EQ(sched.PumpDepth(), 1);
-    Promise<int> p(sched);
-    sched.ScheduleAfter(1, [&p] { p.Resolve(1); });
-    Await(p.future());  // re-entrant pump (legal outside no-pump sections)
-  });
-  sched.RunUntilIdle();
-  EXPECT_EQ(sched.MaxPumpDepth(), 2);
-}
-
-TEST(PumpDepthTest, NoPumpScopeForbidsReentrantPumping) {
+TEST(PumpRuleTest, AwaitInsideAnEventThrows) {
+  // The blocking idiom: an event handler awaiting a future pumps inside the
+  // running pump, which throws instead of nesting.
   SimScheduler sched;
   bool threw = false;
   sched.ScheduleAfter(1, [&] {
-    Scheduler::NoPumpScope guard(sched);
+    Promise<int> p(sched);
+    sched.ScheduleAfter(1, [p]() mutable { p.Resolve(1); });
     try {
-      sched.RunUntilIdle();
+      Await(p.future());
     } catch (const FargoError&) {
       threw = true;
     }
@@ -284,19 +267,15 @@ TEST(PumpDepthTest, NoPumpScopeForbidsReentrantPumping) {
   EXPECT_TRUE(threw);
 }
 
-TEST(PumpDepthTest, PumpObserverSeesDepth) {
+TEST(PumpRuleTest, NoPumpScopeForbidsPumping) {
   SimScheduler sched;
-  int max_seen = 0;
-  sched.SetPumpObserver([&max_seen](int d) {
-    if (d > max_seen) max_seen = d;
-  });
-  sched.ScheduleAfter(1, [&sched] {
-    Promise<int> p(sched);
-    sched.ScheduleAfter(1, [&p] { p.Resolve(1); });
-    Await(p.future());
-  });
-  sched.RunUntilIdle();
-  EXPECT_EQ(max_seen, 2);
+  sched.ScheduleAfter(1, [] {});
+  {
+    Scheduler::NoPumpScope guard(sched);
+    EXPECT_THROW(sched.RunUntilIdle(), FargoError);
+  }
+  sched.RunUntilIdle();  // the scope is gone: pumping works again
+  EXPECT_EQ(sched.PendingCount(), 0u);
 }
 
 }  // namespace

@@ -146,6 +146,28 @@ TEST(ParallelSchedulerTest, WorkersMayNotPump) {
   EXPECT_TRUE(threw.load());
 }
 
+TEST(ParallelSchedulerTest, ConductorPumpInsideAPumpThrows) {
+  // The conductor runs a RunUntil predicate between rounds: a pump from
+  // there is a pump inside a running pump, and throws like on the sim.
+  ParallelScheduler sched(2);
+  sched.ScheduleAt(1, [] {});
+  sched.ScheduleAt(2, [] {});
+  int threw = 0;
+  sched.RunUntil([&] {
+    try {
+      sched.RunOne();
+    } catch (const FargoError&) {
+      ++threw;
+    }
+    return sched.Now() >= 2;
+  });
+  EXPECT_GE(threw, 1);
+  // The outer pump ended cleanly: the next top-level pump is allowed.
+  sched.ScheduleAt(3, [] {});
+  EXPECT_TRUE(sched.RunOne());
+  EXPECT_EQ(sched.Now(), 3);
+}
+
 TEST(ParallelSchedulerTest, NoPumpScopeRejectsConductorPumps) {
   ParallelScheduler sched(2);
   Scheduler::NoPumpScope guard(sched);

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <vector>
+
 #include "src/common/value.h"
 
 namespace fargo::sim {
@@ -90,19 +93,34 @@ TEST(SchedulerTest, RunUntilOrStopsEarlyWhenPredicateHolds) {
   EXPECT_EQ(s.Now(), Millis(3));
 }
 
-TEST(SchedulerTest, NestedPumpingWorks) {
-  // An event that itself pumps the scheduler (blocking-RPC pattern).
+TEST(SchedulerTest, PumpInsideAPumpThrows) {
+  // Handlers never block: an event that pumps the scheduler again throws,
+  // whichever pump it calls, and the outer pump carries on.
   SimScheduler s;
-  bool inner_done = false;
-  bool outer_done = false;
+  int threw = 0;
+  bool later = false;
   s.ScheduleAfter(Millis(1), [&] {
-    s.ScheduleAfter(Millis(1), [&] { inner_done = true; });
-    s.RunUntil([&] { return inner_done; });
-    outer_done = true;
+    const std::vector<std::function<void()>> pumps = {
+        [&] { s.RunOne(); },
+        [&] { s.RunUntilIdle(); },
+        [&] { s.RunUntil([] { return true; }); },
+        [&] { s.RunUntilOr([] { return true; }, Millis(5)); },
+        [&] { s.RunFor(Millis(1)); }};
+    for (const auto& pump : pumps) {
+      try {
+        pump();
+      } catch (const FargoError&) {
+        ++threw;
+      }
+    }
   });
+  s.ScheduleAfter(Millis(2), [&] { later = true; });
   s.RunUntilIdle();
-  EXPECT_TRUE(inner_done);
-  EXPECT_TRUE(outer_done);
+  EXPECT_EQ(threw, 5);
+  EXPECT_TRUE(later);
+  // The outer pump ended cleanly: the next top-level pump is allowed.
+  s.ScheduleAfter(Millis(1), [] {});
+  EXPECT_TRUE(s.RunOne());
 }
 
 TEST(PeriodicTaskTest, FiresAtInterval) {

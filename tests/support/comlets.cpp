@@ -152,10 +152,11 @@ Worker::Worker() {
           core::MakeRelocator(args[1].AsString()));
     return Value();
   });
+  // Async: awaits the data complet instead of blocking on it.
   methods().Register("work", [this](const std::vector<Value>&) {
     if (!data_) throw FargoError("worker has no data source");
     ++work_done_;
-    return data_.Call("read");
+    return data_.CallAsync("read");
   });
   methods().Register("workDone", [this](const std::vector<Value>&) {
     return Value(work_done_);
@@ -164,8 +165,12 @@ Worker::Worker() {
     return Value(static_cast<bool>(data_));
   });
   methods().Register("dataLocation", [this](const std::vector<Value>&) {
-    return Value(
-        static_cast<std::int64_t>(core()->ResolveLocation(data_).value));
+    return core()
+        ->invocation()
+        .InvokeAsync(data_.handle(), core::kPingMethod, {})
+        .Then([](core::InvokeResult& r) {
+          return Value(static_cast<std::int64_t>(r.location.value));
+        });
   });
   methods().Register("refType", [this](const std::vector<Value>&) {
     if (!data_) return Value("unbound");
@@ -217,8 +222,10 @@ Node::Node() {
   // Sums the tags along the chain, `depth` hops deep.
   methods().Register("sum", [this](const std::vector<Value>& args) {
     std::int64_t depth = args.at(0).AsInt();
-    if (depth <= 0 || !next_) return Value(tag_);
-    return Value(tag_ + next_.Call("sum", {Value(depth - 1)}).AsInt());
+    if (depth <= 0 || !next_)
+      return sim::MakeReadyFuture(core()->scheduler(), Value(tag_));
+    return next_.CallAsync("sum", {Value(depth - 1)})
+        .Then([tag = tag_](Value& rest) { return Value(tag + rest.AsInt()); });
   });
   methods().Register("hasNext", [this](const std::vector<Value>&) {
     return Value(static_cast<bool>(next_));
@@ -263,8 +270,8 @@ Holder::Holder() {
     return Value(root && root->left != nullptr && root->left == root->right);
   });
   methods().Register("bump", [this](const std::vector<Value>&) {
-    if (root && root->counter) return root->counter.Call("increment");
-    return Value();
+    if (root && root->counter) return root->counter.CallAsync("increment");
+    return sim::MakeReadyFuture(core()->scheduler(), Value());
   });
 }
 

@@ -16,8 +16,8 @@ class FargoTest : public ::testing::Test {
  protected:
   /// `localities` pins the scheduling engine: -1 (default) follows the
   /// FARGO_PARALLEL environment variable — the whole suite runs under the
-  /// locality engine when CI exports it — 0 forces the deterministic sim
-  /// (tests asserting exact sim interleavings), N forces N workers.
+  /// locality engine when CI exports it — 0 forces the deterministic sim,
+  /// N forces N workers.
   explicit FargoTest(int localities = -1)
       : rt(core::RuntimeOptions{localities}) {
     RegisterTestComlets();
@@ -53,18 +53,6 @@ class FargoTest : public ::testing::Test {
   }
 
   core::Runtime rt;
-};
-
-/// Pinned to the deterministic sim engine regardless of FARGO_PARALLEL.
-/// For tests whose *workload* uses the blocking in-handler idiom — nested
-/// synchronous Invoke from a comlet method, listeners that move complets
-/// synchronously (script rule bodies never block, so they need no pin).
-/// The locality engine rejects those by
-/// design (handlers are non-blocking state machines; a worker pump throws),
-/// so the idiom itself is sim-only. See DESIGN.md §localities.
-class FargoSimTest : public FargoTest {
- protected:
-  FargoSimTest() : FargoTest(0) {}
 };
 
 }  // namespace fargo::testing

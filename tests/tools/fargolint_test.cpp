@@ -329,6 +329,83 @@ TEST(NoPump, SuppressedWithReason) {
   EXPECT_EQ(CountRule(fs, "no-pump"), 0) << Dump(fs);
 }
 
+TEST(NoPump, FlagsTemplatedBlockingCall) {
+  const std::string src = R"(void F(sim::Scheduler& s, Ref& client) {
+  s.ScheduleAfter(1, [client] {
+    if (client.Invoke<std::int64_t>("read") == 2) Log();
+  });
+}
+)";
+  auto fs = Lint1("bench/x.cpp", src);
+  EXPECT_TRUE(Has(fs, "no-pump", LineOf(src, "client.Invoke"))) << Dump(fs);
+}
+
+TEST(NoPump, FlagsCallAndMoveIdInsideContinuation) {
+  const std::string src = R"(void F(sim::Future<int> f, Ref ref, Core& core) {
+  f.OnSettle([ref, &core](sim::Future<int>) {
+    ref.Call("ping");
+    core.MoveId(ref.target(), CoreId{2});
+  });
+}
+)";
+  auto fs = Lint1("src/core/x.cpp", src);
+  EXPECT_TRUE(Has(fs, "no-pump", LineOf(src, "ref.Call"))) << Dump(fs);
+  EXPECT_TRUE(Has(fs, "no-pump", LineOf(src, "core.MoveId"))) << Dump(fs);
+}
+
+TEST(NoPump, FlagsBlockingCallInsideMethodHandler) {
+  // A method handler runs as scheduled work: a sync call there pumps
+  // inside the running pump. Only the blocking rule applies to handlers,
+  // so the `[this]` capture is not a finding.
+  const std::string src = R"(Worker::Worker() {
+  methods().Register("work", [this](const std::vector<Value>&) {
+    return data_.Call("read");
+  });
+  methods().Register("workAsync", [this](const std::vector<Value>&) {
+    return data_.CallAsync("read");
+  });
+}
+)";
+  auto fs = Lint1("examples/x.cpp", src);
+  ASSERT_EQ(fs.size(), 1u) << Dump(fs);
+  EXPECT_TRUE(Has(fs, "no-pump", LineOf(src, "data_.Call("))) << Dump(fs);
+}
+
+TEST(NoPump, FlagsBlockingCallsInsideEventListeners) {
+  const std::string src = R"(void Policy(Core& admin, Core& node, Ref ref) {
+  admin.ListenAt(node.id(), EventKind::kCoreShutdown, [&](const Event&) {
+    node.MoveId(ref.target(), admin.id());
+  });
+  admin.ListenThresholdAt(node.id(), ComletLoadProbe(), 8.0, Trigger::kAbove,
+                          Millis(50), [&](const Event&) {
+    ref.Invoke<std::int64_t>("jobs");
+  });
+  node.events().Listen(EventKind::kComletArrived, [&](const Event&) {
+    node.MoveIdAsync(ref.target(), admin.id());
+  });
+}
+)";
+  auto fs = Lint1("examples/x.cpp", src);
+  ASSERT_EQ(CountRule(fs, "no-pump"), 2) << Dump(fs);
+  EXPECT_TRUE(Has(fs, "no-pump", LineOf(src, "node.MoveId("))) << Dump(fs);
+  EXPECT_TRUE(Has(fs, "no-pump", LineOf(src, "ref.Invoke"))) << Dump(fs);
+  EXPECT_EQ(CountRule(fs, "capture-ref"), 0) << Dump(fs);
+}
+
+TEST(NoPump, ContinuationInsideAHandlerIsReportedOnce) {
+  const std::string src = R"(Worker::Worker() {
+  methods().Register("work", [this](const std::vector<Value>&) {
+    return data_.CallAsync("read").Then([ref = data_](Value& v) {
+      ref.Call("touch");
+      return v;
+    });
+  });
+}
+)";
+  auto fs = Lint1("examples/x.cpp", src);
+  EXPECT_EQ(CountRule(fs, "no-pump"), 1) << Dump(fs);
+}
+
 // ==== capture-ref ============================================================
 
 TEST(CaptureRef, FlagsDefaultRefCaptureInSink) {
@@ -1447,6 +1524,19 @@ void WriteLone(Writer& w, const L& x) {
   // Unpaired encoder: no message entry. Non-literal initializer: value null.
   EXPECT_EQ(doc.find("WriteLone"), std::string::npos) << doc;
   EXPECT_NE(doc.find("[\"kAuto\", null]"), std::string::npos) << doc;
+}
+
+TEST(Schema, PathsAnchorAtTheLastSrcComponent) {
+  // A checkout under a directory named `src` or ending in `src` still emits
+  // repo-relative file names, so the golden matches wherever the tree lives.
+  const std::string src = R"(inline constexpr std::uint8_t kPing = 7;
+)";
+  const std::string want = "\"file\": \"src/net/wire.h\"";
+  for (const char* path : {"/home/dev/src/fargo/src/net/wire.h",
+                           "/tmp/asan-src/src/net/wire.h", "src/net/wire.h"}) {
+    const std::string doc = ExtractWireSchema({SourceFile{path, src}});
+    EXPECT_NE(doc.find(want), std::string::npos) << path << "\n" << doc;
+  }
 }
 
 // ==== output contract ========================================================

@@ -49,8 +49,8 @@ class Payload : public core::Anchor {
       return Value();
     });
     methods().Register("chat", [this](const std::vector<Value>&) {
-      if (!peer_) return Value();
-      return peer_.Call("ping");
+      if (!peer_) return sim::MakeReadyFuture(core()->scheduler(), Value());
+      return peer_.CallAsync("ping");
     });
   }
   std::string_view TypeName() const override { return kTypeName; }
@@ -200,11 +200,9 @@ int main(int argc, char** argv) {
     const auto interval = static_cast<SimTime>(1e9 / t.per_second);
     generators.push_back(std::make_unique<sim::PeriodicTask>(
         rt.scheduler(), interval, [ref = from->second] {
-          try {
-            ref.Call("chat");
-          } catch (const FargoError&) {
-            // transient unreachability: the generator keeps going
-          }
+          // Never blocks: a tick only issues the call. Transient
+          // unreachability fails that call alone; the generator keeps going.
+          ref.CallAsync("chat");
         }));
   }
 

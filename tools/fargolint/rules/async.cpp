@@ -1,19 +1,51 @@
 // Async family: scheduled-continuation hygiene. Continuations outlive the
 // stack that created them, so default reference captures and bare `this`
-// are lifetime bugs in waiting, and pumping the event loop from inside a
-// continuation deadlocks the single-threaded scheduler.
+// are lifetime bugs in waiting. Handlers never block: pumping the event
+// loop from a continuation, a complet method or an event listener throws
+// at run time (a pump inside the running pump).
 #include "tools/fargolint/rules.h"
 
 namespace fargolint {
 namespace {
 
+bool InSink(const FileCtx& f, std::size_t i) {
+  for (const Span& s : f.sink_spans)
+    if (s.Contains(i)) return true;
+  return false;
+}
+
+/// The `(` that calls the name at `name`, past a template argument list
+/// (`Invoke<R>(`); 0 when the name is not called there.
+std::size_t CallParen(const std::vector<Token>& t, std::size_t name) {
+  std::size_t j = name + 1;
+  if (j < t.size() && IsPunct(t[j], "<")) {
+    for (int depth = 0; j < t.size(); ++j) {
+      if (IsPunct(t[j], "<")) {
+        ++depth;
+      } else if (IsPunct(t[j], ">")) {
+        if (--depth == 0) break;
+      } else if (IsPunct(t[j], "(")) {
+        j = MatchingClose(t, j);
+      } else if (IsPunct(t[j], ";") || IsPunct(t[j], "{") ||
+                 IsPunct(t[j], "}")) {
+        return 0;
+      }
+    }
+    ++j;
+  }
+  return j < t.size() && IsPunct(t[j], "(") ? j : 0;
+}
+
+/// Flags blocking calls in tokens [begin, end). `skip_sinks` leaves calls
+/// inside sink arguments to the continuation check, which reports them.
 void CheckBlockingCallsIn(const FileCtx& f, std::size_t begin, std::size_t end,
-                          const char* where, std::vector<Finding>& out) {
+                          const char* where, std::vector<Finding>& out,
+                          bool skip_sinks = false) {
   const std::vector<Token>& t = f.lx.toks;
   for (std::size_t i = begin; i < end && i + 1 < t.size(); ++i) {
     if (t[i].kind != Tok::kIdent || BlockingNames().count(t[i].text) == 0)
       continue;
-    if (!IsPunct(t[i + 1], "(")) continue;
+    if (CallParen(t, i) == 0 || (skip_sinks && InSink(f, i))) continue;
     out.push_back({"no-pump", f.src->path, t[i].line,
                    "blocking call '" + t[i].text + "' " + where +
                        "; use the *Async form or restructure as a "
@@ -22,16 +54,35 @@ void CheckBlockingCallsIn(const FileCtx& f, std::size_t begin, std::size_t end,
   }
 }
 
+/// Method handlers (`Register`) and event listeners (`Listen*`) run as
+/// scheduled work too, so their lambdas must not block either. Only the
+/// blocking rule applies: the anchor or listener owns their lifetimes.
+void CheckHandlers(const FileCtx& f, std::vector<Finding>& out) {
+  static const std::set<std::string> kHandlerSinks = {
+      "Register", "Listen", "ListenAt", "ListenThresholdAt"};
+  const std::vector<Token>& t = f.lx.toks;
+  for (std::size_t i = 0; i + 1 < t.size(); ++i) {
+    if (t[i].kind != Tok::kIdent || kHandlerSinks.count(t[i].text) == 0 ||
+        !IsPunct(t[i + 1], "("))
+      continue;
+    const char* where = t[i].text == "Register" ? "inside a method handler"
+                                                : "inside an event listener";
+    const std::size_t close = MatchingClose(t, i + 1);
+    for (std::size_t j = i + 2; j < close && j < t.size(); ++j) {
+      if (!IsPunct(t[j], "[") || !IsLambdaIntro(t, j)) continue;
+      Lambda lam = ParseLambda(t, j);
+      if (lam.body_open == 0) continue;
+      CheckBlockingCallsIn(f, lam.body_open, lam.body_close, where, out,
+                           /*skip_sinks=*/true);
+      j = lam.body_close;
+    }
+  }
+}
+
 void CheckContinuations(const FileCtx& f, std::vector<Finding>& out) {
   const std::vector<Token>& t = f.lx.toks;
-  auto in_sink = [&](std::size_t i) {
-    for (const Span& s : f.sink_spans)
-      if (s.Contains(i)) return true;
-    return false;
-  };
-
   for (std::size_t i = 0; i < t.size(); ++i) {
-    if (!IsPunct(t[i], "[") || !IsLambdaIntro(t, i) || !in_sink(i)) continue;
+    if (!IsPunct(t[i], "[") || !IsLambdaIntro(t, i) || !InSink(f, i)) continue;
     Lambda lam = ParseLambda(t, i);
     if (lam.body_open == 0) continue;  // not actually a lambda
 
@@ -101,16 +152,18 @@ const std::set<std::string>& SinkNames() {
 
 const std::set<std::string>& BlockingNames() {
   static const std::set<std::string> kBlocking = {
-      "Invoke", "Move",       "Await",        "Pump",   "PumpUntil",
-      "RunUntil", "RunUntilOr", "RunUntilIdle", "RunFor", "RunOne"};
+      "Invoke",   "Call",       "Move",         "MoveId", "Await",
+      "Pump",     "PumpUntil",  "RunUntil",     "RunUntilOr",
+      "RunUntilIdle", "RunFor", "RunOne"};
   return kBlocking;
 }
 
 std::vector<RuleInfo> AsyncRules() {
   return {
       {"no-pump",
-       "blocking call (Invoke/Move/Await/Pump/RunUntil/...) inside a scheduled "
-       "continuation or a declared no-pump region"},
+       "blocking call (Invoke/Call/Move/MoveId/Await/Pump/RunUntil/...) "
+       "inside a scheduled continuation, a method handler, an event "
+       "listener or a declared no-pump region"},
       {"capture-ref",
        "default reference capture [&] in a lambda handed to the scheduler or "
        "future layer"},
@@ -121,7 +174,10 @@ std::vector<RuleInfo> AsyncRules() {
 }
 
 void CheckAsync(const Index& idx, std::vector<Finding>& out) {
-  for (const FileCtx& f : idx.files) CheckContinuations(f, out);
+  for (const FileCtx& f : idx.files) {
+    CheckContinuations(f, out);
+    CheckHandlers(f, out);
+  }
 }
 
 }  // namespace fargolint

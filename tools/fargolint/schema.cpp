@@ -14,12 +14,16 @@
 namespace fargolint {
 namespace {
 
-/// Repo-relative form of a path: everything from the first "src/" on, so
-/// the emitted schema is byte-identical whether the linter is invoked with
-/// relative or absolute roots.
+/// Repo-relative form of a path: everything from its last `src` path
+/// component on, so the emitted schema is byte-identical whether the linter
+/// is invoked with relative or absolute roots, and wherever the checkout
+/// lives (`~/src/fargo/src/...`, `asan-src/src/...`).
 std::string SchemaPath(const std::string& path) {
-  std::size_t at = path.find("src/");
-  return at == std::string::npos ? path : path.substr(at);
+  for (std::size_t at = path.rfind("src/"); at != std::string::npos;
+       at = at == 0 ? std::string::npos : path.rfind("src/", at - 1)) {
+    if (at == 0 || path[at - 1] == '/') return path.substr(at);
+  }
+  return path;
 }
 
 void JsonEscape(std::ostream& os, const std::string& s) {
